@@ -6,10 +6,12 @@ Usage (from the repository root)::
     PYTHONPATH=src python benchmarks/perf/run.py --mode full
     PYTHONPATH=src python benchmarks/perf/run.py -o /tmp/b.json
 
-Four microbenchmarks are timed:
+Six microbenchmarks are timed:
 
 * ``mc_kernel``    — legacy vs vectorized stationary MC solves on the
-  Fig 8 ratio-sweep grid; the headline is the aggregate speedup.
+  Fig 8 ratio-sweep grid; the headline is the aggregate speedup.  Its
+  ``grid_batch`` section times a Fig 8 grid point by point and as one
+  lockstep batch.
 * ``packet_sim``   — discrete-event engine step rate on one streaming
   session of the 2-2 validation setting.
 * ``chain_build``  — TcpFlowChain construction and vectorized-table
@@ -139,6 +141,11 @@ def main(argv=None) -> int:
               f"({leg['seconds']:.2f}s)  "
               f"vec {vec['late_fraction']:.3e}±{vec['stderr']:.1e} "
               f"({vec['seconds']:.2f}s)  {point['speedup']:.1f}x")
+    grid = mc["grid_batch"]
+    print(f"[mc_kernel] grid_batch: {grid['points']} points "
+          f"point by point {grid['point_seconds']:.2f}s, batched "
+          f"{grid['batched_seconds']:.2f}s -> {grid['speedup']:.1f}x "
+          f"(identical: {grid['identical']})")
     print(f"[packet_sim] {sim['events']} events in "
           f"{sim['seconds']:.2f}s -> "
           f"{sim['events_per_second']:,.0f} events/s")

@@ -3,9 +3,9 @@
 The paper's methodology is 30 replications x 10,000 simulated seconds
 per setting; each replication is an independent pure function of its
 seed, so the natural unit of parallelism is one ``StreamingSession``
-run (and, on the model side, one ``late_fraction_mc`` solve per
-startup delay).  :class:`ReplicationExecutor` fans those units out over
-a ``concurrent.futures.ProcessPoolExecutor``.
+run (and, on the model side, one batch of ``late_fraction_mc`` solves,
+see :func:`model_batches`).  :class:`ReplicationExecutor` fans those
+units out over a ``concurrent.futures.ProcessPoolExecutor``.
 
 Determinism is the contract: replication ``run`` always gets seed
 ``seed0 + run`` and the per-run work is executed by the *same*
@@ -50,8 +50,10 @@ from repro.core.session import StreamingSession
 from repro.experiments.cache import tau_key
 from repro.experiments.configs import Setting
 from repro.obs.health import hist_of
-from repro.model.dmp_model import DmpModel, LateFractionEstimate
-from repro.model.tcp_chain import FlowParams
+from repro.model.dmp_model import (DmpModel, LateFractionEstimate,
+                                   late_fraction_mc_batch)
+from repro.model.mc_kernel import KERNELS, StationaryRun, resolve_kernel
+from repro.model.tcp_chain import FlowParams, TcpFlowChain
 
 ENV_WORKERS = "REPRO_WORKERS"
 
@@ -210,15 +212,62 @@ def _simulate_campaign_run(spec: RunSpec) -> Dict[str, Any]:
         return record
 
 
-def solve_model(task: ModelTask) -> LateFractionEstimate:
-    """Run one model Monte-Carlo solve."""
+def solve_model(batch: Sequence[ModelTask]) \
+        -> List[LateFractionEstimate]:
+    """Run one batch of model Monte-Carlo solves, in input order.
+
+    Chains are shared across the batch: one ``TcpFlowChain`` per
+    distinct :class:`FlowParams` and one :class:`DmpModel` per distinct
+    (flows, mu), with each startup delay derived by
+    :meth:`DmpModel.with_tau`.  The vectorized tasks are then solved in
+    one lockstep pass (:func:`late_fraction_mc_batch`); each estimate
+    is bit-identical to solving its task alone.  Legacy tasks are
+    solved one by one.
+    """
     tel = telemetry.current()
-    with tel.span("solve", tau=task.tau, seed=task.seed,
-                  flows=len(task.flows)):
-        model = DmpModel(list(task.flows), mu=task.mu, tau=task.tau)
-        return model.late_fraction_mc(horizon_s=task.horizon_s,
-                                      seed=task.seed,
-                                      mc_kernel=task.mc_kernel)
+    with tel.span("solve", tasks=len(batch)):
+        chains: Dict[FlowParams, TcpFlowChain] = {}
+        bases: Dict[Tuple[Tuple[FlowParams, ...], float], DmpModel] = {}
+        runs: List[StationaryRun] = []
+        for task in batch:
+            base = bases.get((task.flows, task.mu))
+            if base is None:
+                for params in task.flows:
+                    if params not in chains:
+                        chains[params] = TcpFlowChain(params)
+                base = bases[(task.flows, task.mu)] = DmpModel(
+                    [chains[params] for params in task.flows],
+                    mu=task.mu, tau=task.tau)
+            runs.append(base.with_tau(task.tau).stationary_run(
+                horizon_s=task.horizon_s, seed=task.seed))
+        # One call per kernel over its runs in task order, then the
+        # estimates are dealt back out in task order.
+        kernels = [resolve_kernel(task.mc_kernel) for task in batch]
+        solved = {kernel: iter(late_fraction_mc_batch(
+            [run for run, used in zip(runs, kernels) if used == kernel],
+            kernel)) for kernel in KERNELS if kernel in kernels}
+        return [next(solved[kernel]) for kernel in kernels]
+
+
+def model_batches(tasks: Sequence[ModelTask]) -> List[List[int]]:
+    """Group task indices into :func:`solve_model` batches.
+
+    Every vectorized task joins one batch (it is solved in one
+    lockstep pass); each legacy task is a batch of its own, so the
+    point-by-point reference keeps its per-item parallelism.  The
+    grouping depends only on the task list, never on the worker count,
+    so serial and pooled runs solve the same batches.
+    """
+    batches: List[List[int]] = []
+    vectorized: List[int] = []
+    for idx, task in enumerate(tasks):
+        if resolve_kernel(task.mc_kernel) == "vectorized":
+            if not vectorized:
+                batches.append(vectorized)
+            vectorized.append(idx)
+        else:
+            batches.append([idx])
+    return batches
 
 
 class _CapturedCall:
@@ -362,7 +411,16 @@ class ReplicationExecutor:
 
     def solve_models(self, tasks: Sequence[ModelTask]) \
             -> List[LateFractionEstimate]:
-        return self.map(solve_model, tasks)
+        """Solve ``tasks`` in :func:`model_batches` batches; results
+        come back in task order."""
+        batches = model_batches(tasks)
+        solved = self.map(solve_model,
+                          [[tasks[idx] for idx in batch]
+                           for batch in batches])
+        by_index = {idx: estimate
+                    for batch, estimates in zip(batches, solved)
+                    for idx, estimate in zip(batch, estimates)}
+        return [by_index[idx] for idx in range(len(tasks))]
 
 
 # ---------------------------------------------------------------------

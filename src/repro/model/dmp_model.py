@@ -32,7 +32,8 @@ from scipy.sparse import csc_matrix
 from scipy.special import gammainc
 
 from repro.model import mc_kernel as _kernel
-from repro.model.mc_kernel import PROB_TOLERANCE, resolve_kernel
+from repro.model.mc_kernel import (PROB_TOLERANCE, StationaryRun,
+                                   resolve_kernel)
 from repro.model.tcp_chain import (
     FlowParams,
     TcpFlowChain,
@@ -160,6 +161,25 @@ class DmpModel:
             tables.append((rates, per_state))
         return tables
 
+    def stationary_run(self, horizon_s: float = 20000.0,
+                       seed: int = 0,
+                       burn_in_s: Optional[float] = None,
+                       batches: int = 20) -> StationaryRun:
+        """One stationary solve's run length, validated, with the
+        default burn-in of :meth:`late_fraction_mc` resolved; solve it
+        batched with other runs by :func:`late_fraction_mc_batch`."""
+        if horizon_s <= 0:
+            raise ValueError("horizon must be positive")
+        if burn_in_s is None:
+            burn_in_s = max(0.1 * horizon_s,
+                            min(20 * self.tau, 0.3 * horizon_s))
+        if burn_in_s >= horizon_s:
+            raise ValueError("burn-in must be shorter than the horizon")
+        if batches < 1:
+            raise ValueError("need at least one batch")
+        return StationaryRun(model=self, horizon_s=horizon_s, seed=seed,
+                             burn_in_s=burn_in_s, batches=batches)
+
     def late_fraction_mc(self, horizon_s: float = 20000.0,
                          seed: int = 0,
                          burn_in_s: Optional[float] = None,
@@ -175,25 +195,20 @@ class DmpModel:
         ``mc_kernel`` selects the engine: ``"vectorized"`` (the
         default; R lockstep replicas advanced as numpy arrays, see
         :mod:`repro.model.mc_kernel`) or ``"legacy"`` (the reference
-        event-by-event loop below).  Both estimate the same quantity
-        over the same total measured model time; they differ only in
-        how the randomness is laid out.
+        event-by-event loop of :meth:`_late_fraction_legacy`).  Both
+        estimate the same quantity over the same total measured model
+        time; they differ only in how the randomness is laid out.
         """
-        if horizon_s <= 0:
-            raise ValueError("horizon must be positive")
-        if burn_in_s is None:
-            burn_in_s = max(0.1 * horizon_s,
-                            min(20 * self.tau, 0.3 * horizon_s))
-        if burn_in_s >= horizon_s:
-            raise ValueError("burn-in must be shorter than the horizon")
-        if batches < 1:
-            raise ValueError("need at least one batch")
-        if resolve_kernel(mc_kernel) == "vectorized":
-            return _kernel.stationary_late_fraction(
-                self, horizon_s=horizon_s, seed=seed,
-                burn_in_s=burn_in_s, batches=batches)
+        run = self.stationary_run(horizon_s=horizon_s, seed=seed,
+                                  burn_in_s=burn_in_s, batches=batches)
+        return late_fraction_mc_batch([run], mc_kernel)[0]
 
-        rng = np.random.default_rng(seed)
+    def _late_fraction_legacy(self, run: StationaryRun) \
+            -> LateFractionEstimate:
+        """The reference event-by-event stationary loop."""
+        horizon_s, burn_in_s, batches = \
+            run.horizon_s, run.burn_in_s, run.batches
+        rng = np.random.default_rng(run.seed)
         tables = self._compile_tables()
         k = len(self.chains)
         mu = self.mu
@@ -502,3 +517,18 @@ class DmpModel:
             if i == 0 and pooled < threshold / 30.0:
                 return True
         return pooled < threshold
+
+
+def late_fraction_mc_batch(runs: Sequence[StationaryRun],
+                           mc_kernel: Optional[str] = None) \
+        -> List[LateFractionEstimate]:
+    """Stationary late fractions of several runs, in input order.
+
+    The vectorized kernel solves the whole batch in one lockstep pass
+    (see :func:`repro.model.mc_kernel.stationary_late_fraction`); each
+    estimate is bit-identical to solving its run alone.  The legacy
+    kernel stays the point-by-point reference.
+    """
+    if resolve_kernel(mc_kernel) == "vectorized":
+        return _kernel.stationary_late_fraction(runs)
+    return [run.model._late_fraction_legacy(run) for run in runs]

@@ -22,6 +22,19 @@ Two kernels are provided, mirroring the two event-by-event solvers:
   wide vector steps.  The Rao-Blackwellised late accounting
   (:func:`expected_excess_array`, the array form of
   ``expected_excess``) is kept intact.
+
+  It solves a *batch* of :class:`StationaryRun` s at once — a whole
+  model grid, such as Fig 8's (ratio, tau) points — with every run's
+  replicas laid side by side as lanes of the same arrays, so the
+  per-step numpy overhead that dominates a single 20-replica solve is
+  paid once per lockstep pass.  Per-point estimates are bit-identical
+  to solving each run alone, because each run keeps its own
+  ``default_rng(seed)`` drawn in the single-solve order (start-state
+  draws, then 64-step exponential/uniform blocks, then one Poisson call
+  per step on its own lanes), its own replica count, window, burn-in,
+  ``nmax`` and ``mu``, and its own termination check; all other
+  per-step work is elementwise per lane, and global screens only skip
+  work.  A single solve is a batch of one.
 * :func:`transient_late_fraction` — the finite-video estimator, with
   the replications as the vector axis and the exact event semantics of
   the legacy loop (time-varying live cap, explicit consumption events).
@@ -36,7 +49,8 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence,
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
                     Tuple)
 
 import numpy as np
@@ -217,17 +231,21 @@ class CompiledModel:
         return self.nxt[firing, out], self.sval[firing, out]
 
 
+def _compile(chains: Sequence["TcpFlowChain"]) -> CompiledModel:
+    """Build the tables of ``chains`` under an ``mc.compile`` span."""
+    tel = telemetry.current()
+    with tel.span("mc.compile", flows=len(chains)) as sp:
+        compiled = CompiledModel(chains)
+        if sp is not None:
+            sp.attrs["states"] = int(compiled.offsets[-1])
+    return compiled
+
+
 def compiled_model(model: "DmpModel") -> CompiledModel:
     """The model's compiled tables, built once and cached on it."""
-    cached = model._compiled
-    if cached is None:
-        tel = telemetry.current()
-        with tel.span("mc.compile", flows=len(model.chains)) as sp:
-            cached = CompiledModel(model.chains)
-            if sp is not None:
-                sp.attrs["states"] = int(cached.offsets[-1])
-        model._compiled = cached
-    return cached
+    if model._compiled is None:
+        model._compiled = _compile(model.chains)
+    return model._compiled
 
 
 # ---------------------------------------------------------------------
@@ -275,6 +293,17 @@ class BlockDraws:
 # ---------------------------------------------------------------------
 # Stationary kernel
 # ---------------------------------------------------------------------
+#: Lockstep steps per pre-drawn RNG block, and between termination
+#: checks.
+BLOCK_STEPS = 64
+CHECK_STEPS = 8
+
+#: Widest lockstep pass.  A wider batch runs as consecutive passes of
+#: whole runs; the cap equals the widest single solve, so a batch never
+#: holds more RNG blocks and outcome rows in memory than one solve may.
+MAX_LANES = MAX_REPLICAS
+
+
 def stationary_replica_count(horizon_s: float, burn_in_s: float,
                              tau: float, batches: int) -> int:
     """How many lockstep replicas to run for a stationary estimate.
@@ -295,15 +324,39 @@ def stationary_replica_count(horizon_s: float, burn_in_s: float,
     return max(batches, (replicas // batches) * batches)
 
 
+@dataclass(frozen=True)
+class StationaryRun:
+    """One stationary solve of a batch: a model and its run length.
+
+    ``burn_in_s`` is the discarded part of ``horizon_s``, already
+    resolved and validated by
+    :meth:`repro.model.dmp_model.DmpModel.stationary_run`.
+    """
+
+    model: "DmpModel"
+    horizon_s: float
+    seed: int
+    burn_in_s: float
+    batches: int
+
+
 def stationary_late_fraction(
-        model: "DmpModel", horizon_s: float, seed: int,
-        burn_in_s: float, batches: int,
-        replicas: Optional[int] = None) -> "LateFractionEstimate":
-    """Vectorized stationary late-fraction estimate.
+        runs: Sequence[StationaryRun]) -> List["LateFractionEstimate"]:
+    """Vectorized stationary late-fraction estimates of a batch.
+
+    Every run's replicas are lanes of the same arrays and all of them
+    advance in one lockstep loop (up to :data:`MAX_LANES` lanes per
+    pass), so the per-step numpy overhead is paid once per pass
+    instead of once per solve, and one compiled table serves the
+    whole batch.  Each run keeps everything that fixes its numbers
+    (its own ``default_rng(seed)``, replica count, burn-in, window,
+    ``nmax``, ``mu`` and termination check), so its estimate is
+    bit-identical to solving it alone: a single solve is simply a
+    batch of one.
 
     Telemetry: one ``mc.run`` span (label ``"stationary"``) carrying
-    the replica and drawn-RNG-block counts; the ``mc.blocks`` counter
-    accumulates blocks across solves.
+    the solve, replica and drawn-RNG-block counts; the ``mc.blocks``
+    counter accumulates blocks across solves.
 
     Semantics match ``DmpModel.late_fraction_mc(mc_kernel="legacy")``:
     the total *measured* model time is ``horizon_s - burn_in_s``,
@@ -326,102 +379,233 @@ def stationary_late_fraction(
     step on one consumption event.
     """
     tel = telemetry.current()
-    with tel.span("mc.run", label="stationary", seed=seed,
-                  horizon_s=horizon_s) as sp:
-        estimate, used, blocks = _stationary_impl(
-            model, horizon_s, seed, burn_in_s, batches, replicas)
+    with tel.span("mc.run", label="stationary", solves=len(runs)) as sp:
+        compiled, slots = _batch_tables(runs)
+        replicas = [_replica_count(run) for run in runs]
+        estimates: List["LateFractionEstimate"] = []
+        blocks = 0
+        for start, stop in _lane_passes(replicas):
+            done, drawn = _stationary_impl(
+                runs[start:stop], replicas[start:stop], compiled,
+                slots[start:stop])
+            estimates += done
+            blocks += drawn
         if sp is not None:
-            sp.attrs["replicas"] = used
+            sp.attrs["replicas"] = sum(replicas)
             sp.attrs["blocks"] = blocks
         if tel.active:
             tel.metrics.counter("mc.blocks").inc(blocks)
-        return estimate
+        return estimates
+
+
+def _batch_tables(runs: Sequence[StationaryRun]) \
+        -> Tuple[CompiledModel, List[List[int]]]:
+    """One compiled table for the batch, and each run's chain slots.
+
+    A lone model uses (and caches) its own table; a batch compiles its
+    distinct chains once, so models that share a
+    :class:`~repro.model.tcp_chain.TcpFlowChain` share its rows.
+    """
+    if len(runs) == 1:
+        model = runs[0].model
+        return compiled_model(model), [list(range(len(model.chains)))]
+    distinct: List["TcpFlowChain"] = []
+    slot_of: Dict[int, int] = {}
+    slots: List[List[int]] = []
+    for run in runs:
+        row = []
+        for chain in run.model.chains:
+            if id(chain) not in slot_of:
+                slot_of[id(chain)] = len(distinct)
+                distinct.append(chain)
+            row.append(slot_of[id(chain)])
+        slots.append(row)
+    return _compile(distinct), slots
+
+
+def _lane_passes(replicas: Sequence[int]) -> List[Tuple[int, int]]:
+    """Split runs, in order, into lockstep passes of at most
+    :data:`MAX_LANES` lanes; a run never straddles two passes."""
+    passes: List[Tuple[int, int]] = []
+    start = width = 0
+    for idx, count in enumerate(replicas):
+        if idx > start and width + count > MAX_LANES:
+            passes.append((start, idx))
+            start, width = idx, 0
+        width += count
+    passes.append((start, len(replicas)))
+    return passes
+
+
+def _replica_count(run: StationaryRun) -> int:
+    replicas = stationary_replica_count(
+        run.horizon_s, run.burn_in_s, run.model.tau, run.batches)
+    if replicas < 2:
+        raise ValueError("need at least two replicas")
+    return replicas
 
 
 def _stationary_impl(
-        model: "DmpModel", horizon_s: float, seed: int,
-        burn_in_s: float, batches: int, replicas: Optional[int]
-) -> Tuple["LateFractionEstimate", int, int]:
-    """The stationary loop; returns (estimate, replicas, blocks)."""
+        runs: Sequence[StationaryRun], sizes: Sequence[int],
+        compiled: CompiledModel, slots: Sequence[List[int]]
+) -> Tuple[List["LateFractionEstimate"], int]:
+    """One lockstep pass over ``runs`` (``sizes`` replicas each, chain
+    ``slots`` into ``compiled``); returns (estimates, blocks)."""
     from repro.model.dmp_model import LateFractionEstimate
 
-    compiled = compiled_model(model)
-    mu, nmax, tau, k = model.mu, model.nmax, model.tau, compiled.k
-    measured_total = horizon_s - burn_in_s
-    if replicas is None:
-        replicas = stationary_replica_count(horizon_s, burn_in_s, tau,
-                                            batches)
-    if replicas < 2:
-        raise ValueError("need at least two replicas")
-    r_measured = measured_total / replicas
-    r_burn = max(BURN_IN_TAUS * tau, BURN_IN_FRACTION * r_measured)
-    r_horizon = r_burn + r_measured
+    # A run with fewer flows pads its lanes with zero-rate columns,
+    # which never fire; one-flow runs share the two-flow fast path.
+    kmax = max(2, max(len(slot) for slot in slots))
+    windows: List[float] = []
+    burns: List[float] = []
+    horizons: List[float] = []
+    rngs: List[np.random.Generator] = []
+    sids: List[IntArray] = []
+    for run, replicas, slot in zip(runs, sizes, slots):
+        model = run.model
+        r_measured = (run.horizon_s - run.burn_in_s) / replicas
+        r_burn = max(BURN_IN_TAUS * model.tau,
+                     BURN_IN_FRACTION * r_measured)
+        rng = np.random.default_rng(run.seed)
+        sid = np.zeros((replicas, kmax), dtype=np.int64)
+        for i, (chain, chain_slot) in enumerate(zip(model.chains, slot)):
+            pi = chain.stationary_distribution()
+            sid[:, i] = compiled.offsets[chain_slot] + rng.choice(
+                len(pi), size=replicas, p=pi)
+        windows.append(r_measured)
+        burns.append(r_burn)
+        horizons.append(r_burn + r_measured)
+        rngs.append(rng)
+        sids.append(sid)
 
-    R = replicas
-    rng = np.random.default_rng(seed)
-    sid = np.empty((R, k), dtype=np.int64)
-    for i, chain in enumerate(model.chains):
-        pi = chain.stationary_distribution()
-        sid[:, i] = compiled.offsets[i] + rng.choice(
-            len(pi), size=R, p=pi)
+    def per_lane(values: Sequence[float], dtype: type = np.float64) \
+            -> npt.NDArray[Any]:
+        return np.repeat(np.array(values, dtype=dtype), sizes)
+
+    mu = per_lane([run.model.mu for run in runs])
+    inv_mu = per_lane([1.0 / run.model.mu for run in runs])
+    nmax = per_lane([run.model.nmax for run in runs], np.int64)
+    r_burn = per_lane(burns)
+    r_horizon = per_lane(horizons)
+    sid = np.concatenate(sids)
     rate = compiled.rate[sid]
-    sid_flat = sid.reshape(-1)
-    rate_flat = rate.reshape(-1)
+    rate[np.arange(kmax)
+         >= per_lane([len(slot) for slot in slots], np.int64)[:, None]] \
+        = 0.0
+    n = nmax.copy()
+    t = np.zeros(len(n))
+    late = np.zeros(len(n))
+    # Delivered packets per lane and flow (path shares are a
+    # diagnostic); exact integer counts, like the per-run sums.
+    delivered = np.zeros((len(n), kmax), dtype=np.int64)
     crate = compiled.rate
     cum, nxt, sval = compiled.cum, compiled.nxt, compiled.sval
+    two = kmax == 2
 
-    n = np.full(R, nmax, dtype=np.int64)
-    t = np.zeros(R)
-    late = np.zeros(R)
-    shares = np.zeros(k)
-    # The loop below is overhead-bound (many numpy calls on short
-    # arrays), so every per-step ufunc writes into a preallocated
-    # buffer or consumes its own RNG block row in place.
-    pre = np.empty(R, dtype=bool)
-    bflow = np.empty(R, dtype=bool)
-    ftmp = np.empty(R)
-    idx2 = np.empty(R, dtype=np.int64)
-    rows_k = np.arange(R) * k
-    inv_mu = 1.0 / mu
-    two = k == 2
-    if two:
-        r0, r1 = rate[:, 0], rate[:, 1]
-        s0, s1 = sid[:, 0], sid[:, 1]
+    # Lanes are grouped by run, in ``layout`` order; a finished run's
+    # lanes idle (they can no longer score) until the next block
+    # boundary drops them.
+    layout = list(range(len(runs)))
+    live = [True] * len(runs)
+    estimates: List[Optional[LateFractionEstimate]] = [None] * len(runs)
 
-    BLOCK = 64
-    cursor = BLOCK
+    def finish(m: int, lo: int) -> None:
+        hi = lo + sizes[m]
+        model = runs[m].model
+        k = len(model.chains)
+        fractions = np.minimum(
+            late[lo:hi] / (model.mu * windows[m]), 1.0)
+        shares = delivered[lo:hi, :k].sum(axis=0).astype(np.float64)
+        total_shares = shares.sum()
+        share_tuple = tuple(shares / total_shares) if total_shares \
+            else tuple(0.0 for _ in range(k))
+        estimates[m] = LateFractionEstimate(
+            late_fraction=float(fractions.mean()),
+            stderr=float(fractions.std(ddof=1) / np.sqrt(sizes[m])),
+            horizon_s=runs[m].horizon_s, method="mc",
+            path_shares=share_tuple, kernel="vectorized")
+
+    def segments(order: List[int]) \
+            -> Tuple[IntArray, List[Tuple[Any, int, int]]]:
+        """Lane offsets of the runs in ``order`` and each run's
+        Poisson sampler over its lane range."""
+        starts = np.cumsum([0] + [sizes[m] for m in order[:-1]])
+        return starts, [(rngs[m].poisson, int(lo), int(lo) + sizes[m])
+                        for m, lo in zip(order, starts)]
+
+    starts, all_draws = segments(layout)
+    draws = all_draws
+    # RNG block buffers, refilled in place; dropping lanes only
+    # narrows the views over them.
+    exp_buf = np.empty((BLOCK_STEPS, 2, len(n)))
+    uni_buf = np.empty((BLOCK_STEPS, 2, len(n)))
     blocks = 0
+    cursor = BLOCK_STEPS
     until_check = 1
-    if two:
-        # Path shares are a per-run diagnostic; accumulate the per-step
-        # delivered counts into block buffers and reduce once per block
-        # instead of three reductions per step.
-        s_blk = np.zeros((BLOCK, R), dtype=np.int64)
-        f_blk = np.zeros((BLOCK, R), dtype=bool)
-
-        def flush_shares(upto: int) -> None:
-            stot = float(s_blk[:upto].sum())
-            sflow1 = float((s_blk[:upto] * f_blk[:upto]).sum())
-            shares[0] += stot - sflow1
-            shares[1] += sflow1
-
+    rebuild = True
     while True:
-        # Termination is a scalar reduction, so it is only polled every
-        # few steps; replicas past their horizon keep stepping but
-        # their segments fail the window test and contribute nothing.
+        # Termination is a per-run scalar reduction, so it is only
+        # polled every few steps; replicas past their horizon keep
+        # stepping but their segments fail the window test and
+        # contribute nothing.
         until_check -= 1
         if until_check <= 0:
-            if t.min() >= r_horizon:
-                break
-            until_check = 8
-        if cursor >= BLOCK:
-            if two:
-                flush_shares(BLOCK)
-            blocks += 1
-            exp_blk = rng.standard_exponential((BLOCK, 2, R))
+            tmin = np.minimum.reduceat(t, starts)
+            finished = False
+            for pos, m in enumerate(layout):
+                if live[m] and tmin[pos] >= horizons[m]:
+                    live[m] = False
+                    finished = True
+                    finish(m, int(starts[pos]))
+            if finished:
+                draws = [draw for draw, m in zip(all_draws, layout)
+                         if live[m]]
+                if not draws:
+                    break
+            until_check = CHECK_STEPS
+        if cursor >= BLOCK_STEPS:
+            if len(draws) < len(layout):
+                keep = np.repeat([live[m] for m in layout],
+                                 [sizes[m] for m in layout])
+                layout = [m for m in layout if live[m]]
+                starts, all_draws = segments(layout)
+                draws = all_draws
+                sid, rate, n, t, late, delivered = (
+                    sid[keep], rate[keep], n[keep], t[keep],
+                    late[keep], delivered[keep])
+                mu, inv_mu, nmax, r_burn, r_horizon = (
+                    mu[keep], inv_mu[keep], nmax[keep], r_burn[keep],
+                    r_horizon[keep])
+                rebuild = True
+            if rebuild:
+                # Views and scratch buffers over the current lanes.
+                # The loop is overhead-bound (many numpy calls on short
+                # arrays), so every per-step ufunc writes into one of
+                # these or consumes its own RNG block row in place.
+                rebuild = False
+                lanes = len(n)
+                sid_flat = sid.reshape(-1)
+                rate_flat = rate.reshape(-1)
+                delivered_flat = delivered.reshape(-1)
+                r0, r1 = rate[:, 0], rate[:, 1]
+                s0, s1 = sid[:, 0], sid[:, 1]
+                rows_k = np.arange(lanes) * kmax
+                pre = np.empty(lanes, dtype=bool)
+                bflow = np.empty(lanes, dtype=bool)
+                ftmp = np.empty(lanes)
+                idx2 = np.empty(lanes, dtype=np.int64)
+                pois = np.zeros(lanes, dtype=np.int64)
+                exp_blk = exp_buf[:, :, :lanes]
+                uni_blk = uni_buf[:, :, :lanes]
+            blocks += len(layout)
+            # Each run draws its own block from its own generator.
+            for m, (_, lo, hi) in zip(layout, draws):
+                exp_blk[:, :, lo:hi] = rngs[m].standard_exponential(
+                    (BLOCK_STEPS, 2, sizes[m]))
+                uni_blk[:, :, lo:hi] = rngs[m].random(
+                    (BLOCK_STEPS, 2, sizes[m]))
             exp_blk[:, 0, :] *= inv_mu  # pre-scaled consumption prefix
             exp_blk[:, 1, :] *= mu      # numerator of lam = mu * dt
-            uni_blk = rng.random((BLOCK, 2, R))
             cursor = 0
         exp0 = exp_blk[cursor, 0]
         lam = exp_blk[cursor, 1]
@@ -447,10 +631,11 @@ def _stationary_impl(
         # only segments starting inside the measurement window count,
         # and segments whose Poisson tail cannot reach the deficit
         # boundary are skipped exactly as in the legacy loop.  The
-        # whole block sits behind a scalar screen: lam + 8*sqrt(lam)
-        # + 20 <= 2*lam + 36, so when even that bound at the largest
-        # lam stays below the smallest deficit boundary, no lane can
-        # pass the per-lane guard.
+        # whole block sits behind a scalar screen over every lane:
+        # lam + 8*sqrt(lam) + 20 <= 2*lam + 36, so when even that bound
+        # at the largest lam stays below the smallest deficit boundary,
+        # no lane can pass the per-lane guard.  The screen only skips
+        # work; the per-lane guard decides.
         if 2.0 * lam.max() + 36.0 >= max(n.min(), 0):
             m = np.maximum(n, 0)
             need = ((t >= r_burn) & (t < r_horizon)
@@ -458,7 +643,11 @@ def _stationary_impl(
             idx = np.flatnonzero(need)
             if idx.size:
                 late[idx] += expected_excess_array(lam[idx], m[idx])
-        np.subtract(n, rng.poisson(lam), out=n)
+        # Poisson variates depend on the step's lam, so they cannot be
+        # pre-drawn: one call per run, on that run's lanes only.
+        for poisson, lo, hi in draws:
+            pois[lo:hi] = poisson(lam[lo:hi])
+        np.subtract(n, pois, out=n)
         np.multiply(lam, inv_mu, out=exp0)  # dt, reusing the spent row
         np.add(t, exp0, out=t)
 
@@ -470,7 +659,7 @@ def _stationary_impl(
             np.add(rows_k, bflow, out=idx2, casting="unsafe")
         else:
             flow = np.minimum((np.cumsum(rate, axis=1)
-                               < ftmp[:, None]).sum(axis=1), k - 1)
+                               < ftmp[:, None]).sum(axis=1), kmax - 1)
             np.add(rows_k, flow, out=idx2)
             firing = sid_flat[idx2]
         crows = cum[firing]
@@ -481,24 +670,13 @@ def _stationary_impl(
         rate_flat[idx2] = crate[new_sid]
         np.add(n, s, out=n)
         np.minimum(n, nmax, out=n)
-        if two:
-            s_blk[cursor - 1] = s
-            f_blk[cursor - 1] = bflow
-        else:
-            shares += np.bincount(flow, weights=s, minlength=k)
+        delivered_flat[idx2] += s
 
-    if two:
-        flush_shares(cursor)
-    fractions = np.minimum(late / (mu * r_measured), 1.0)
-    mean = float(fractions.mean())
-    stderr = float(fractions.std(ddof=1) / np.sqrt(replicas))
-    total_shares = shares.sum()
-    share_tuple = tuple(shares / total_shares) if total_shares \
-        else tuple(0.0 for _ in range(k))
-    return LateFractionEstimate(
-        late_fraction=mean, stderr=stderr, horizon_s=horizon_s,
-        method="mc", path_shares=share_tuple,
-        kernel="vectorized"), replicas, blocks
+    done: List[LateFractionEstimate] = []
+    for estimate in estimates:
+        assert estimate is not None
+        done.append(estimate)
+    return done, blocks
 
 
 # ---------------------------------------------------------------------
@@ -611,6 +789,7 @@ __all__: List[str] = [
     "compiled_model",
     "BlockDraws",
     "stationary_replica_count",
+    "StationaryRun",
     "stationary_late_fraction",
     "transient_late_fraction",
 ]

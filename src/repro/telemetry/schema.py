@@ -46,7 +46,7 @@ TELEMETRY_SCHEMA: Dict[str, str] = {
     "retry": "span",
     # One simulate_run() replication (label: setting name).
     "replication": "span",
-    # One solve_model() Monte-Carlo solve.
+    # One solve_model() call: a batch of Monte-Carlo solves.
     "solve": "span",
     # run_internet_experiments() campaign / one of its experiments.
     "internet.campaign": "span",

@@ -17,8 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from repro import telemetry
+from repro.experiments import parallel
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import ModelTask
+from repro.experiments.parallel import (ModelTask, ReplicationExecutor,
+                                        model_batches, solve_model)
 from repro.model import mc_kernel
 from repro.model.dmp_model import DmpModel, expected_excess
 from repro.model.mc_kernel import (
@@ -342,3 +345,84 @@ class TestReplicaCount:
         large = mc_kernel.stationary_replica_count(
             20000.0, 1000.0, 2.0, batches=10)
         assert large >= small
+
+
+# ---------------------------------------------------------------------
+# Grid batches: one lockstep pass, per-point estimates bit-identical
+# ---------------------------------------------------------------------
+FAST3 = FlowParams(p=0.03, rtt=0.15, to_ratio=3.0, wmax=5)
+
+#: k=2 and k=3 points with different mu, tau, seed, horizon and
+#: burn-in; the 60 s point finishes long before the 1500 s one; the
+#: legacy task passes through unbatched.
+MIXED = (
+    ModelTask(flows=(FAST, FAST), mu=18.0, tau=1.0, horizon_s=600.0,
+              seed=3, mc_kernel="vectorized"),
+    ModelTask(flows=(FAST, FAST2, FAST3), mu=22.0, tau=2.0,
+              horizon_s=900.0, seed=5, mc_kernel="vectorized"),
+    ModelTask(flows=(FAST, FAST2), mu=14.0, tau=1.5, horizon_s=200.0,
+              seed=7, mc_kernel="legacy"),
+    ModelTask(flows=(FAST2, FAST3), mu=9.0, tau=3.0, horizon_s=60.0,
+              seed=11, mc_kernel="vectorized"),
+    ModelTask(flows=(FAST, FAST), mu=18.0, tau=2.0, horizon_s=1500.0,
+              seed=3, mc_kernel="vectorized"),
+)
+
+
+def _solo(task):
+    model = DmpModel(list(task.flows), mu=task.mu, tau=task.tau)
+    return model.late_fraction_mc(horizon_s=task.horizon_s,
+                                  seed=task.seed,
+                                  mc_kernel=task.mc_kernel)
+
+
+class TestGridBatch:
+    @pytest.mark.parametrize("max_lanes", [mc_kernel.MAX_LANES, 40])
+    def test_mixed_batch_equals_per_model_solves(self, monkeypatch,
+                                                 max_lanes):
+        # 40 lanes split the batch into passes of two 20-replica runs.
+        monkeypatch.setattr(mc_kernel, "MAX_LANES", max_lanes)
+        with telemetry.session() as batched:
+            got = ReplicationExecutor(max_workers=1).solve_models(MIXED)
+        with telemetry.session() as solo:
+            expected = [_solo(task) for task in MIXED]
+        # Float-for-float: late fraction, stderr and path shares.
+        assert got == expected
+        assert [est.kernel for est in got] == [
+            task.mc_kernel for task in MIXED]
+        assert batched.metrics.counter("mc.blocks").total \
+            == solo.metrics.counter("mc.blocks").total > 0
+
+    def test_one_pass_for_every_vectorized_task(self):
+        assert model_batches(MIXED) == [[0, 1, 3, 4], [2]]
+        with telemetry.session() as tel:
+            solve_model(MIXED)
+        names = [span.name for root in tel.roots
+                 for span in root.walk()]
+        assert names.count("mc.run") == 1
+        assert names.count("mc.compile") == 1
+
+    def test_chains_shared_across_the_batch(self, monkeypatch):
+        built = []
+
+        class CountingChain(TcpFlowChain):
+            def __init__(self, params):
+                built.append(params)
+                super().__init__(params)
+
+        monkeypatch.setattr(parallel, "TcpFlowChain", CountingChain)
+        grid = [ModelTask(flows=(params, params), mu=18.0, tau=tau,
+                          horizon_s=300.0, seed=1,
+                          mc_kernel="vectorized")
+                for params in (FAST, FAST2) for tau in (1.0, 2.0, 3.0)]
+        got = solve_model(grid)
+        assert built == [FAST, FAST2]
+        assert got == [_solo(task) for task in grid]
+
+    def test_invalid_run_lengths_are_rejected(self):
+        model = DmpModel([FAST, FAST], mu=18.0, tau=1.0)
+        with pytest.raises(ValueError, match="burn-in"):
+            model.stationary_run(horizon_s=100.0, burn_in_s=100.0)
+        # One batch over one 150 s window: a single replica.
+        with pytest.raises(ValueError, match="two replicas"):
+            model.late_fraction_mc(horizon_s=200.0, batches=1)

@@ -6,6 +6,8 @@ The gating rules under test:
   (it is scale-free), with a spread-widened tolerance;
 * absolute metrics gate only when machine fingerprint AND mode match;
 * sub-10ms chain-build timings never gate;
+* within-report ratios (scaling, overhead, grid batching) gate on any
+  machine;
 * exit codes: 0 ok, 1 regression, 2 bad input.
 """
 
@@ -264,6 +266,42 @@ def test_health_overhead_gates_within_report_on_any_machine():
 
     comp = compare(_report(), _report())
     assert not any(r.name == "multisession.health_overhead_n200"
+                   for r in comp.results)
+
+
+def _with_grid_batch(doc, point_s, batched_s, identical=True):
+    out = copy.deepcopy(doc)
+    out["benchmarks"]["mc_kernel"]["grid_batch"] = {
+        "points": 75, "point_seconds": point_s,
+        "batched_seconds": batched_s,
+        "speedup": point_s / batched_s, "identical": identical,
+    }
+    return out
+
+
+def test_grid_batch_speedup_gates_within_report_on_any_machine():
+    base = _report()  # baseline has no grid_batch section at all
+    comp = compare(_with_grid_batch(_report(cpu="OtherCPU"), 3.0, 1.0),
+                   base)
+    gate = next(r for r in comp.results
+                if r.name == "mc_kernel.grid_batch_speedup")
+    assert gate.gated and not gate.regressed and gate.threshold == 1.0
+    assert gate.new == 3.0
+
+    # A collapsed batch (barely faster than point by point) fails...
+    comp = compare(_with_grid_batch(_report(), 3.0, 2.5), base)
+    gate = next(r for r in comp.results
+                if r.name == "mc_kernel.grid_batch_speedup")
+    assert gate.regressed
+    # ...and so does a fast batch whose estimates differ.
+    comp = compare(_with_grid_batch(_report(), 3.0, 1.0,
+                                    identical=False), base)
+    gate = next(r for r in comp.results
+                if r.name == "mc_kernel.grid_batch_speedup")
+    assert gate.regressed and "DIFFER" in gate.note
+
+    comp = compare(_report(), _report())
+    assert not any(r.name == "mc_kernel.grid_batch_speedup"
                    for r in comp.results)
 
 

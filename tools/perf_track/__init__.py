@@ -34,12 +34,14 @@ different machine, so naive comparison would be meaningless):
   single-digit milliseconds and dominated by allocator noise.
 * **Within-report gates are machine-free** and therefore gate
   everywhere: the multi-session scaling, pool-reuse and
-  health-instrumentation-overhead contracts, and
+  health-instrumentation-overhead contracts,
   the mean-field backend's N-independence (the N=10^6 solve within
   10x of the N=10 solve; the 10^6-session grid at least 100x faster
   than the packet-sim cost extrapolated from the measured N=1000
-  point).  Both sides of each ratio come from one snapshot on one
-  machine.
+  point), and the MC kernel's grid batching (a Fig 8 grid solved in
+  one lockstep batch at least 1.5x faster than point by point, with
+  identical estimates).  Both sides of each ratio come from one
+  snapshot on one machine.
 
 The tolerance is widened by the observed spread of the matched
 per-point ratios (``spread / sqrt(n)``), so a wide noisy grid does
@@ -310,6 +312,28 @@ def compare(new_doc: Dict[str, Any], base_doc: Dict[str, Any],
             regressed=grid_speedup < floor, threshold=1.0,
             note="within-report: 10^6-session grid >= 100x "
                  "extrapolated packet cost"))
+
+    # -- grid-batch within-report gate: machine-independent -----------
+    # The same Fig 8 grid timed point by point and as one lockstep
+    # batch in one process: the batch must be at least 1.5x faster,
+    # and its estimates identical to the point-by-point ones.
+    grid = new_doc.get("benchmarks", {}).get("mc_kernel", {}) \
+        .get("grid_batch", {})
+    point_s = grid.get("point_seconds")
+    batched_s = grid.get("batched_seconds")
+    if isinstance(point_s, (int, float)) and point_s > 0 \
+            and isinstance(batched_s, (int, float)) and batched_s > 0:
+        speedup = float(point_s) / float(batched_s)
+        identical = grid.get("identical") is True
+        floor = 1.5
+        comp.results.append(MetricResult(
+            name="mc_kernel.grid_batch_speedup",
+            baseline=floor, new=speedup,
+            ratio=speedup / floor, gated=True,
+            regressed=speedup < floor or not identical,
+            threshold=1.0,
+            note="within-report: batched grid >= 1.5x point by point"
+                 + ("" if identical else "; ESTIMATES DIFFER")))
 
     # -- verify solver timings: never gate ----------------------------
     # Certified-envelope solve time tracks the z3 version and its
