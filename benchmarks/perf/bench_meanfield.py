@@ -10,14 +10,21 @@ This benchmark measures both sides where both are affordable
 side to N = 10^4 and 10^6 and times a full Fig 8-style (ratio, tau)
 late-fraction grid at N = 10^6.
 
-Two machine-free within-report gates ride on the output
+The ``grid_batch`` section times the same 10^6-session grid two ways
+in one process: ratio by ratio (one single-lane solve each) and as one
+lockstep batch (every ratio a lane of one Euler pass), and records
+whether both gave identical rows.
+
+Three machine-free within-report gates ride on the output
 (``tools/perf_track``):
 
 * ``meanfield.scaling_n1e6_vs_n10`` — the N=10^6 solve must stay
   within 10x of the N=10 solve (N-independence in wall time);
 * ``meanfield.speedup_vs_extrapolated`` — the N=10^6 grid must solve
   at least 100x faster than the packet-sim cost extrapolated linearly
-  from the measured N=1000 point.
+  from the measured N=1000 point;
+* ``meanfield.grid_batch_speedup`` — the batched grid must be at least
+  1.5x faster than ratio by ratio, with identical rows.
 """
 
 from __future__ import annotations
@@ -50,6 +57,10 @@ MEANFIELD_ONLY_NS = (10_000, 1_000_000)
 GRID_N = 1_000_000
 GRID_RATIOS = (0.5, 0.75, 1.0, 1.25, 1.6)
 GRID_TAUS = (2.0, 4.0, 8.0, 16.0)
+
+#: Each grid_batch way is timed this many times, alternating; the
+#: best time counts.
+GRID_REPEATS = 3
 
 MODES = {
     "quick": {"duration_s": 8.0},
@@ -96,6 +107,33 @@ def _meanfield_seconds(n_sessions: int, duration_s: float) -> dict:
     return {
         "seconds": elapsed,
         "late_fraction": solution.late_fraction(TAU),
+    }
+
+
+def grid_batch(duration_s: float) -> dict:
+    """Time the N=10^6 grid ratio by ratio and batched."""
+    base = _spec(GRID_N, duration_s)
+    best = {"point": float("inf"), "batched": float("inf")}
+    for _ in range(GRID_REPEATS):
+        started = time.perf_counter()
+        pointwise = [row for ratio in GRID_RATIOS
+                     for row in late_fraction_grid(
+                         base, ratios=(ratio,), taus=GRID_TAUS)]
+        best["point"] = min(best["point"],
+                            time.perf_counter() - started)
+        started = time.perf_counter()
+        batched = late_fraction_grid(base, ratios=GRID_RATIOS,
+                                     taus=GRID_TAUS)
+        best["batched"] = min(best["batched"],
+                              time.perf_counter() - started)
+    return {
+        "n_sessions": GRID_N,
+        "ratios": len(GRID_RATIOS),
+        "repeats": GRID_REPEATS,
+        "point_seconds": best["point"],
+        "batched_seconds": best["batched"],
+        "speedup": best["point"] / best["batched"],
+        "identical": pointwise == batched,
     }
 
 
@@ -158,4 +196,5 @@ def run(mode: str) -> dict:
             "speedup_vs_extrapolated": extrapolated / grid_seconds,
             "rows": rows,
         },
+        "grid_batch": grid_batch(duration_s),
     }

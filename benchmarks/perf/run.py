@@ -22,7 +22,9 @@ Six microbenchmarks are timed:
   each point.
 * ``meanfield``    — population-ODE solve time vs the packet sim at
   N = 10/100/1000, mean-field-only solves at N = 10^4/10^6, and a
-  full (ratio, tau) late-fraction grid at 10^6 sessions.
+  full (ratio, tau) late-fraction grid at 10^6 sessions.  Its
+  ``grid_batch`` section times that grid ratio by ratio and as one
+  lockstep batch.
 * ``verify``       — certified-envelope solve time over a (T, K)
   grid (``repro.verify``); z3 when the ``verify`` extra is
   installed, exhaustive enumeration otherwise.  Info-only for
@@ -179,6 +181,11 @@ def main(argv=None) -> int:
           f"(extrapolated packet cost "
           f"{grid['extrapolated_packet_seconds']:,.0f}s -> "
           f"{grid['speedup_vs_extrapolated']:,.0f}x)")
+    grid = mf["grid_batch"]
+    print(f"[meanfield] grid_batch: {grid['ratios']} ratios "
+          f"ratio by ratio {grid['point_seconds']:.2f}s, batched "
+          f"{grid['batched_seconds']:.2f}s -> {grid['speedup']:.1f}x "
+          f"(identical: {grid['identical']})")
     ver = results["verify"]
     engine_note = "z3" if ver["z3_available"] else "exhaustive"
     for point in ver["points"]:

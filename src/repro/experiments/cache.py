@@ -70,7 +70,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: QoE ``health`` rollup (per-session rows plus mergeable log
 #: histograms, ``repro.obs.health``); presence is re-checked on read
 #: like ``sessions``, and pre-v9 campaign records lack it.
-CODE_VERSION = 9
+#: v10: finite-video fluid late fractions count fixed content slots
+#: and count content undelivered at the trace's end as late (they used
+#: to drop playback past the solve horizon), so pre-v10 mean-field
+#: records may hold truncated values.
+CODE_VERSION = 10
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE = "REPRO_CACHE"

@@ -76,6 +76,11 @@ def arrival_curve(rates: FloatArray, generated: FloatArray,
     return arrived
 
 
+#: Slack, in steps, when placing ``tau`` and the video's end on the
+#: ``dt`` grid, so float noise in ``tau / dt`` never moves a boundary.
+_GRID_SLACK = 1e-6
+
+
 def late_fraction_from_trace(rates: Union[Sequence[float], FloatArray],
                              mu: float, tau: float, dt: float,
                              video_duration_s: Optional[float] = None) \
@@ -86,9 +91,24 @@ def late_fraction_from_trace(rates: Union[Sequence[float], FloatArray],
     grid of step ``dt`` starting at the session's t=0; generation runs
     at ``mu`` for ``video_duration_s`` seconds (``None`` = the whole
     trace, the live-stream case) and playback starts at ``tau``.  The
-    returned fraction is the share of playback steps still in deficit
-    — packets that miss their ``tau + i/mu`` deadline — matching
+    returned fraction is the share of playback still in deficit —
+    packets that miss their ``tau + i/mu`` deadline — matching
     :func:`repro.core.metrics.late_fraction` in the fluid limit.
+
+    Live stream: the share of the trace's playback steps in deficit.
+
+    Finite video, ``K`` steps long: playback from a ``tau`` off the
+    grid touches ``K + 1`` steps, and the fraction always counts
+    ``K + 1`` content slots.  Slot ``j`` holds content
+    ``min(j * mu * dt, total)`` and is due by grid time
+    ``(floor(tau / dt) + j) * dt`` (``tau`` rounded down to the grid).
+    The fraction is the share of slots not delivered when due.  The
+    slots do not depend on ``tau``, so the fraction never rises with
+    it.  Playback runs to the last slot whatever the trace length:
+    past the trace's end the rate is zero, so content still
+    undelivered counts as late — the ``missing_as_late=True`` rule of
+    :func:`repro.core.metrics.late_fraction`.  Once the trace reaches
+    the last slot, a longer one changes nothing.
     """
     if mu <= 0 or tau < 0:
         raise ValueError("need mu > 0 and tau >= 0")
@@ -99,31 +119,31 @@ def late_fraction_from_trace(rates: Union[Sequence[float], FloatArray],
         raise ValueError("rates must be a non-empty 1-D trace")
     if np.any(rate < 0):
         raise ValueError("rates must be non-negative")
-    steps = rate.size
-    times = np.arange(steps) * dt
 
-    ends = times + dt
     if video_duration_s is None:
-        generated = mu * ends
-        total = float("inf")
-    else:
-        if video_duration_s <= 0:
-            raise ValueError("video_duration_s must be positive")
-        generated = mu * np.minimum(ends, video_duration_s)
-        total = mu * video_duration_s
+        ends = np.arange(rate.size) * dt + dt
+        arrived = arrival_curve(rate, mu * ends, dt)
+        playback = mu * (ends - tau)
+        playing = playback > 0
+        played = int(np.count_nonzero(playing))
+        if played == 0:
+            return 0.0
+        deficit = playing & (arrived < playback - 1e-9)
+        return float(np.count_nonzero(deficit) / played)
 
-    arrived = arrival_curve(rate, generated, dt)
-
-    playback = mu * (ends - tau)
-    # A step "plays" while playback is positive and the content was
-    # not already exhausted at the step's start.
-    playing = (playback > 0) & (playback - mu * dt < total)
-    played = int(np.count_nonzero(playing))
-    if played == 0:
-        return 0.0
-    target = np.minimum(playback, total)
-    deficit = playing & (arrived < target - 1e-9)
-    return float(np.count_nonzero(deficit) / played)
+    if video_duration_s <= 0:
+        raise ValueError("video_duration_s must be positive")
+    start = int(np.floor(tau / dt + _GRID_SLACK))
+    slots = max(int(np.ceil(video_duration_s / dt - _GRID_SLACK)), 1) + 1
+    if start + slots > rate.size:
+        rate = np.concatenate([rate, np.zeros(start + slots - rate.size)])
+    ends = np.arange(rate.size) * dt + dt
+    total = mu * video_duration_s
+    arrived = arrival_curve(
+        rate, mu * np.minimum(ends, video_duration_s), dt)
+    content = np.minimum(np.arange(1, slots + 1) * (mu * dt), total)
+    due = arrived[start:start + slots]
+    return float(np.count_nonzero(due < content - 1e-9) / slots)
 
 
 def fluid_late_fraction(paths: Sequence[OnOffPath], mu: float,

@@ -8,7 +8,8 @@ the property suite pins down:
 * late fractions in [0, 1], monotone non-increasing in tau,
 * N-invariance of the scaled limit (bit-identical under power-of-two
   population scaling, allclose otherwise),
-* bit-identical reruns from equal inputs (no RNG, no wall clock).
+* bit-identical reruns from equal inputs (no RNG, no wall clock),
+* lane i of a lockstep batch is bit-identical to solving spec i alone.
 
 Agreement with the packet simulator lives in
 ``test_meanfield_agreement.py``.
@@ -27,6 +28,7 @@ from repro.model.meanfield import (
     late_fraction_grid,
     resolve_backend,
     solve_meanfield,
+    solve_meanfield_batch,
 )
 
 
@@ -233,3 +235,90 @@ class TestGrid:
         huge = late_fraction_grid(quick_spec(n_sessions=64 * 2 ** 14),
                                   ratios=(0.8,), taus=(2.0,))
         assert small[0]["late_fraction"] == huge[0]["late_fraction"]
+
+    def test_grid_rows_do_not_depend_on_the_batch(self):
+        both = late_fraction_grid(quick_spec(), ratios=(0.6, 1.2),
+                                  taus=(2.0, 9.0))
+        alone = [row for ratio in (0.6, 1.2)
+                 for row in late_fraction_grid(quick_spec(),
+                                               ratios=(ratio,),
+                                               taus=(2.0, 9.0))]
+        assert both == alone
+
+    def test_grid_tau_past_the_drain_matches_a_covering_solve(self):
+        # tau = 9 s plays until 21 s, past the 12 + 5 s horizon of the
+        # base spec: the grid must stretch its horizon and report the
+        # untruncated value, exactly as a covering solve does, not the
+        # base horizon's missing-as-late bound.  The drop and queue
+        # means still cover the base window only.
+        base = quick_spec(drain_s=5.0)
+        taus = (2.0, 9.0)
+        rows = late_fraction_grid(base, ratios=(0.5,), taus=taus)
+        ratio_spec = dataclasses.replace(
+            base, bandwidth_pps=0.5 * base.mu * base.n_sessions)
+        covering = solve_meanfield(
+            dataclasses.replace(ratio_spec, drain_s=10.0))
+        assert rows[0]["late_fraction"] == {
+            f"{tau:g}": covering.late_fraction(tau) for tau in taus}
+        own = solve_meanfield(ratio_spec)
+        assert 0.0 < rows[0]["late_fraction"]["9"] < own.late_fraction(9.0)
+        assert rows[0]["mean_drop_prob"] == own.mean_drop_prob
+        assert rows[0]["mean_queue_pkts"] == own.mean_queue_pkts
+
+
+# ---------------------------------------------------------------------
+# Lockstep batches
+# ---------------------------------------------------------------------
+lane_strategy = st.builds(
+    quick_spec,
+    n_sessions=st.integers(min_value=1, max_value=5000),
+    mu=st.floats(min_value=5.0, max_value=50.0),
+    bandwidth_pps=st.floats(min_value=200.0, max_value=5000.0),
+    buffer_pkts=st.floats(min_value=50.0, max_value=800.0),
+    queue_discipline=st.sampled_from(MEANFIELD_DISCIPLINES),
+    paths_per_session=st.integers(min_value=1, max_value=3),
+    n_background=st.integers(min_value=0, max_value=200),
+    base_rtt_s=st.floats(min_value=0.02, max_value=0.3),
+    to_ratio=st.floats(min_value=1.0, max_value=4.0),
+    min_rto_s=st.floats(min_value=0.0, max_value=1.0),
+    # Same step count (1700), different split into video and drain.
+    duration_s=st.sampled_from((12.0, 14.0)),
+)
+
+
+def _same_grid(spec):
+    return dataclasses.replace(spec, drain_s=17.0 - spec.duration_s)
+
+
+@given(specs=st.lists(lane_strategy.map(_same_grid), min_size=1,
+                      max_size=4),
+       wmax=st.sampled_from((17, 32)))
+@settings(max_examples=10, deadline=None)
+def test_batch_lanes_are_bit_identical_to_single_solves(specs, wmax):
+    specs = [dataclasses.replace(spec, wmax=wmax) for spec in specs]
+    batch = solve_meanfield_batch(specs)
+    assert len(batch) == len(specs)
+    for spec, lane in zip(specs, batch):
+        alone = solve_meanfield(spec)
+        assert lane.spec == spec
+        assert np.array_equal(lane.goodput_pps, alone.goodput_pps)
+        assert np.array_equal(lane.queue_pkts, alone.queue_pkts)
+        assert np.array_equal(lane.drop_prob, alone.drop_prob)
+        assert lane.mass_error == alone.mass_error
+        assert lane.late_fraction(4.0) == alone.late_fraction(4.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"dt": 0.005},
+    {"wmax": 16},
+    {"warmup_s": 3.0},
+    {"drain_s": 6.0},
+])
+def test_batch_rejects_specs_without_a_shared_step_grid(overrides):
+    with pytest.raises(ValueError, match="share the step grid"):
+        solve_meanfield_batch([quick_spec(),
+                               quick_spec(**overrides)])
+
+
+def test_empty_batch_solves_nothing():
+    assert solve_meanfield_batch([]) == []

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.model.fluid import (
     OnOffPath,
@@ -245,3 +246,76 @@ def test_trace_finite_video_stops_playing_after_exhaustion():
     frac = late_fraction_from_trace([20.0] * 30, mu=10.0, tau=0.0,
                                     dt=0.1, video_duration_s=1.0)
     assert frac == 0.0
+
+
+# ------------------------------------------------------------------
+# Playback past the trace's end counts as missing-as-late
+# ------------------------------------------------------------------
+def _constant_trace(seconds, rate, dt=0.01):
+    return np.full(int(round(seconds / dt)), rate)
+
+
+def test_trace_counts_content_undelivered_at_its_end_as_late():
+    # Half-rate delivery of a 20 s video, playback from tau = 16 s to
+    # 36 s.  The delivered curve mu*t/2 falls behind playback at 32 s,
+    # so a trace covering playback is late 4 s of 20.  A 30 s trace
+    # stops delivering at 15 s of content, which playback reaches at
+    # 31 s: the last 5 s are missing, hence late.
+    mu, tau, video = 10.0, 16.0, 20.0
+
+    def late(seconds):
+        return late_fraction_from_trace(
+            _constant_trace(seconds, 0.5 * mu), mu=mu, tau=tau, dt=0.01,
+            video_duration_s=video)
+
+    covered = late(40.0)
+    assert covered == pytest.approx(0.2004, abs=1e-4)
+    assert late(30.0) == pytest.approx(0.25, abs=1e-3)
+    assert late(30.0) >= covered
+    for seconds in (45.0, 60.0, 120.0):
+        assert late(seconds) == covered
+
+
+@given(rates=st.lists(st.floats(min_value=0.0, max_value=40.0),
+                      min_size=1, max_size=60),
+       mu=st.floats(min_value=1.0, max_value=20.0),
+       tau=st.floats(min_value=0.0, max_value=2.5),
+       video=st.floats(min_value=0.1, max_value=2.5),
+       extra=st.lists(st.floats(min_value=0.0, max_value=40.0),
+                      max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_trace_value_is_fixed_once_the_horizon_covers_playback(
+        rates, mu, tau, video, extra):
+    """Past tau + video nothing plays, so a longer trace cannot move
+    the value; a shorter one only loses deliveries, never adds any."""
+    dt = 0.1
+    # 6 s of piecewise-constant trace (0.5 s pieces): tau + video is
+    # at most 5 s, so the trace covers every playing step.
+    trace = np.repeat(np.resize(np.asarray(rates), 12), 5)
+    covered = late_fraction_from_trace(trace, mu, tau, dt,
+                                       video_duration_s=video)
+    longer = np.concatenate([trace, np.asarray(extra, dtype=float)])
+    assert late_fraction_from_trace(longer, mu, tau, dt,
+                                    video_duration_s=video) == covered
+    for cut in (1, trace.size // 3, trace.size // 2):
+        assert late_fraction_from_trace(
+            trace[:cut], mu, tau, dt, video_duration_s=video) >= covered
+
+
+@given(rates=st.lists(st.floats(min_value=0.0, max_value=40.0),
+                      min_size=1, max_size=80),
+       mu=st.floats(min_value=1.0, max_value=20.0),
+       video=st.floats(min_value=0.1, max_value=4.0),
+       taus=st.lists(st.floats(min_value=0.0, max_value=6.0),
+                     min_size=2, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_trace_late_fraction_never_rises_with_tau(rates, mu, video,
+                                                  taus):
+    """Whatever the grid alignment of tau, and whether or not the
+    trace covers playback, a later start is never later."""
+    trace = np.repeat(np.asarray(rates), 3)
+    values = [late_fraction_from_trace(trace, mu, tau, 0.1,
+                                       video_duration_s=video)
+              for tau in sorted(taus)]
+    assert all(0.0 <= value <= 1.0 for value in values)
+    assert all(a >= b for a, b in zip(values, values[1:]))

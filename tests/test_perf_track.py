@@ -305,6 +305,37 @@ def test_grid_batch_speedup_gates_within_report_on_any_machine():
                    for r in comp.results)
 
 
+def _with_meanfield_grid_batch(doc, point_s, batched_s, identical=True):
+    out = copy.deepcopy(doc)
+    out["benchmarks"]["meanfield"] = {"grid_batch": {
+        "ratios": 5, "point_seconds": point_s,
+        "batched_seconds": batched_s,
+        "speedup": point_s / batched_s, "identical": identical,
+    }}
+    return out
+
+
+def test_meanfield_grid_batch_gates_within_report_on_any_machine():
+    name = "meanfield.grid_batch_speedup"
+    base = _report()  # baseline has no meanfield section at all
+    comp = compare(_with_meanfield_grid_batch(_report(cpu="OtherCPU"),
+                                              2.4, 1.0), base)
+    gate = next(r for r in comp.results if r.name == name)
+    assert gate.gated and not gate.regressed and gate.threshold == 1.0
+    assert gate.new == 2.4
+
+    # A collapsed batch fails, and so does a fast one whose rows differ.
+    comp = compare(_with_meanfield_grid_batch(_report(), 2.4, 2.4), base)
+    assert next(r for r in comp.results if r.name == name).regressed
+    comp = compare(_with_meanfield_grid_batch(_report(), 2.4, 1.0,
+                                              identical=False), base)
+    gate = next(r for r in comp.results if r.name == name)
+    assert gate.regressed and "DIFFER" in gate.note
+
+    comp = compare(_report(), _report())
+    assert not any(r.name == name for r in comp.results)
+
+
 def test_resolve_baseline_prefers_the_mode_specific_file(tmp_path):
     (tmp_path / "BENCH_perf.json").write_text("{}", encoding="utf-8")
     (tmp_path / "BENCH_perf.quick.json").write_text(

@@ -38,10 +38,10 @@ different machine, so naive comparison would be meaningless):
   the mean-field backend's N-independence (the N=10^6 solve within
   10x of the N=10 solve; the 10^6-session grid at least 100x faster
   than the packet-sim cost extrapolated from the measured N=1000
-  point), and the MC kernel's grid batching (a Fig 8 grid solved in
-  one lockstep batch at least 1.5x faster than point by point, with
-  identical estimates).  Both sides of each ratio come from one
-  snapshot on one machine.
+  point), and grid batching (the MC kernel's Fig 8 grid and the
+  mean-field (ratio, tau) grid, each solved in one lockstep batch at
+  least 1.5x faster than point by point, with identical results).
+  Both sides of each ratio come from one snapshot on one machine.
 
 The tolerance is widened by the observed spread of the matched
 per-point ratios (``spread / sqrt(n)``), so a wide noisy grid does
@@ -313,27 +313,31 @@ def compare(new_doc: Dict[str, Any], base_doc: Dict[str, Any],
             note="within-report: 10^6-session grid >= 100x "
                  "extrapolated packet cost"))
 
-    # -- grid-batch within-report gate: machine-independent -----------
-    # The same Fig 8 grid timed point by point and as one lockstep
-    # batch in one process: the batch must be at least 1.5x faster,
-    # and its estimates identical to the point-by-point ones.
-    grid = new_doc.get("benchmarks", {}).get("mc_kernel", {}) \
-        .get("grid_batch", {})
-    point_s = grid.get("point_seconds")
-    batched_s = grid.get("batched_seconds")
-    if isinstance(point_s, (int, float)) and point_s > 0 \
-            and isinstance(batched_s, (int, float)) and batched_s > 0:
+    # -- grid-batch within-report gates: machine-independent ----------
+    # The same grid timed point by point and as one lockstep batch in
+    # one process -- the MC kernel's Fig 8 grid and the mean-field
+    # (ratio, tau) grid: the batch must be at least 1.5x faster, and
+    # its results identical to the point-by-point ones.
+    for section in ("mc_kernel", "meanfield"):
+        grid = new_doc.get("benchmarks", {}).get(section, {}) \
+            .get("grid_batch", {})
+        point_s = grid.get("point_seconds")
+        batched_s = grid.get("batched_seconds")
+        if not (isinstance(point_s, (int, float)) and point_s > 0
+                and isinstance(batched_s, (int, float))
+                and batched_s > 0):
+            continue
         speedup = float(point_s) / float(batched_s)
         identical = grid.get("identical") is True
         floor = 1.5
         comp.results.append(MetricResult(
-            name="mc_kernel.grid_batch_speedup",
+            name=f"{section}.grid_batch_speedup",
             baseline=floor, new=speedup,
             ratio=speedup / floor, gated=True,
             regressed=speedup < floor or not identical,
             threshold=1.0,
             note="within-report: batched grid >= 1.5x point by point"
-                 + ("" if identical else "; ESTIMATES DIFFER")))
+                 + ("" if identical else "; RESULTS DIFFER")))
 
     # -- verify solver timings: never gate ----------------------------
     # Certified-envelope solve time tracks the z3 version and its
