@@ -43,12 +43,32 @@ from repro.traffic.http import HttpFlow
 #: Population percentiles reported by :meth:`CampaignResult.population`.
 POPULATION_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
-#: From this session count up, :meth:`CampaignResult.population`
-#: switches from the exact list-based quantile (sorts all fractions)
-#: to the mergeable :class:`~repro.obs.health.LogHistogram` — the same
+#: From this session count up, :func:`population_quantiles` switches
+#: from the exact list-based quantile (sorts all fractions) to the
+#: mergeable :class:`~repro.obs.health.LogHistogram` — the same
 #: representation campaign rollups merge across workers, with relative
 #: quantile error bounded by the bucket width (1/64).
 HISTOGRAM_THRESHOLD = 64
+
+
+def population_quantiles(
+        fractions: Sequence[float],
+        hist: Optional[Callable[[], LogHistogram]] = None) \
+        -> Dict[str, float]:
+    """``p50``/``p95``/``p99`` of per-session late fractions.
+
+    Below :data:`HISTOGRAM_THRESHOLD` values they come from the exact
+    list-based :func:`~repro.core.metrics.quantile`; from there up from
+    the log histogram ``hist()`` returns (default: ``hist_of``
+    ``fractions``) — pass the merged per-worker histograms so a single
+    big run and a merged multi-worker run agree exactly.
+    """
+    if len(fractions) < HISTOGRAM_THRESHOLD:
+        return {f"p{int(q * 100)}": quantile(fractions, q)
+                for q in POPULATION_QUANTILES}
+    built = hist() if hist is not None else hist_of(fractions)
+    return {f"p{int(q * 100)}": built.quantile(q)
+            for q in POPULATION_QUANTILES}
 
 
 @dataclass
@@ -91,32 +111,16 @@ class CampaignResult:
         """Mergeable histogram of per-session late fractions."""
         return hist_of(self.late_fractions(tau))
 
-    def population(self, tau: float,
-                   exact: Optional[bool] = None) -> Dict[str, float]:
-        """Distribution summary of per-session late fractions.
-
-        Below :data:`HISTOGRAM_THRESHOLD` sessions the percentiles
-        come from the exact list-based :func:`~repro.core.metrics.
-        quantile`; from there up they come from :meth:`late_hist`, the
-        same log histogram campaign rollups merge across workers (so a
-        single big run and a merged multi-worker run agree exactly).
-        Pass ``exact`` to force either path.
-        """
+    def population(self, tau: float) -> Dict[str, float]:
+        """Distribution summary of per-session late fractions: mean,
+        min, max and the :func:`population_quantiles`."""
         fractions = self.late_fractions(tau)
-        if exact is None:
-            exact = len(fractions) < HISTOGRAM_THRESHOLD
         summary = {
             "mean": sum(fractions) / len(fractions),
             "min": min(fractions),
             "max": max(fractions),
         }
-        if exact:
-            for q in POPULATION_QUANTILES:
-                summary[f"p{int(q * 100)}"] = quantile(fractions, q)
-        else:
-            hist = hist_of(fractions)
-            for q in POPULATION_QUANTILES:
-                summary[f"p{int(q * 100)}"] = hist.quantile(q)
+        summary.update(population_quantiles(fractions))
         return summary
 
 

@@ -39,6 +39,7 @@ from repro import telemetry
 from repro.model.dmp_model import LateFractionEstimate
 from repro.model.mc_kernel import resolve_kernel
 from repro.model.meanfield import MeanFieldSpec
+from repro.obs.health import LogHistogram
 from repro.verify.spec import VerifySpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -282,6 +283,15 @@ class ResultCache:
             if not isinstance(late_hists, dict) or any(
                     tau_key(tau) not in late_hists
                     for tau in spec.taus):
+                self._miss("run")
+                return None
+            # A histogram whose counts do not add up would answer the
+            # population quantiles from the wrong rank: corrupt.
+            try:
+                for data in late_hists.values():
+                    LogHistogram.from_dict(data)
+            except ValueError:
+                self._note_corrupt("run", self.run_key(spec))
                 self._miss("run")
                 return None
         self._hit("run")

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import telemetry
-from repro.core.campaign import HISTOGRAM_THRESHOLD
-from repro.core.metrics import quantile
+from repro.core.campaign import population_quantiles
 from repro.core.session import VIDEO_SEGMENT_BYTES
 from repro.obs.health import LogHistogram, merge_rollups
 from repro.experiments.cache import ResultCache, resolve_cache, tau_key
@@ -254,24 +253,17 @@ def run_campaign(setting: Setting,
                       for fraction in rep]
             rep_means = [sum(rep) / len(rep) for rep in replications]
             mean, ci = _mean_ci95(rep_means)
-            # Population percentiles: exact below the threshold, from
-            # the merged per-tau log histograms above it — the same
-            # switch as CampaignResult.population, and at large N the
-            # only path that avoids sorting runs x sessions floats.
-            if len(pooled) < HISTOGRAM_THRESHOLD:
-                p50, p95, p99 = (quantile(pooled, q)
-                                 for q in (0.5, 0.95, 0.99))
-            else:
-                hist = LogHistogram.merged(
+            # Above the threshold the percentiles come from the merged
+            # per-tau log histograms: at large N the only path that
+            # avoids sorting runs x sessions floats.
+            pcts = population_quantiles(
+                pooled, lambda: LogHistogram.merged(
                     [LogHistogram.from_dict(
                         rec["health"]["late_hists"][tau_key(tau)])
-                     for rec in records if rec is not None])
-                p50, p95, p99 = (hist.quantile(q)
-                                 for q in (0.5, 0.95, 0.99))
+                     for rec in records if rec is not None]))
             points.append(CampaignPoint(
-                tau=tau, mean=mean, ci95=ci,
-                p50=p50, p95=p95, p99=p99,
-                worst=max(pooled)))
+                tau=tau, mean=mean, ci95=ci, worst=max(pooled),
+                **pcts))
 
         return CampaignRun(
             setting=setting, profile=profile, scheme=scheme,

@@ -386,9 +386,9 @@ class ReplicationExecutor:
         t0 = tel.clock.now()
         result = fn(item)
         elapsed = tel.clock.now() - t0
-        tel.metrics.histogram("executor.item_seconds").observe(elapsed)
+        tel.metrics.histogram("executor.item_seconds").record(elapsed)
         tel.metrics.histogram(
-            "executor.queue_wait_seconds").observe(0.0)
+            "executor.queue_wait_seconds").record(0.0)
         return result
 
     @staticmethod
@@ -400,9 +400,9 @@ class ReplicationExecutor:
         run_s = max(t1 - t0, 0.0)
         for span in tel.merge(portable):
             span.timing["queue_wait_s"] = wait
-        tel.metrics.histogram("executor.item_seconds").observe(run_s)
+        tel.metrics.histogram("executor.item_seconds").record(run_s)
         tel.metrics.histogram(
-            "executor.queue_wait_seconds").observe(wait)
+            "executor.queue_wait_seconds").record(wait)
         return run_s
 
     def run_replications(self, specs: Sequence[RunSpec]) \

@@ -134,10 +134,6 @@ class LogHistogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def record_many(self, values: Sequence[float]) -> None:
-        for value in values:
-            self.record(value)
-
     # -- merge ---------------------------------------------------------
     def merge(self, other: "LogHistogram") -> None:
         """Fold ``other`` into this histogram (integer addition)."""
@@ -207,12 +203,32 @@ class LogHistogram:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LogHistogram":
+        """Rebuild a :meth:`to_dict` snapshot.
+
+        Strict: raises ``ValueError`` unless every bucket count (the
+        zero bucket included) is a non-negative int and ``count`` is
+        their sum — a count that disagrees with the buckets would make
+        :meth:`quantile` answer from the wrong rank.
+        """
         out = cls()
-        for key, n in data.get("buckets", {}).items():
-            out.buckets[int(key)] = int(n)
-        out.zero_count = int(data.get("zero", 0))
-        out.count = int(data.get("count", 0))
-        out.sum = float(data.get("sum", 0.0))
+        try:
+            out.buckets = {int(key): n
+                           for key, n in data["buckets"].items()}
+            out.zero_count = data["zero"]
+            count = data["count"]
+            out.sum = float(data["sum"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(
+                f"malformed histogram snapshot: {exc!r}") from None
+        counts = [out.zero_count, *out.buckets.values()]
+        if not all(type(n) is int and n >= 0 for n in counts):
+            raise ValueError(
+                "histogram bucket counts must be non-negative ints")
+        out.count = sum(counts)
+        if count != out.count:
+            raise ValueError(
+                f"histogram count {count!r} != zero + buckets "
+                f"({out.count})")
         out.min = None if data.get("min") is None \
             else float(data["min"])
         out.max = None if data.get("max") is None \
@@ -227,7 +243,8 @@ class LogHistogram:
 def hist_of(values: Sequence[float]) -> LogHistogram:
     """Build a histogram from a value sequence in one call."""
     out = LogHistogram()
-    out.record_many(values)
+    for value in values:
+        out.record(value)
     return out
 
 
@@ -565,11 +582,8 @@ def merge_rollups(rollups: Sequence[Mapping[str, Any]]) \
                 merged_row["label"] = f"r{run}:{row['label']}"
             sessions.append(merged_row)
         for name, data in rollup["hists"].items():
-            part = LogHistogram.from_dict(data)
-            if name in hists:
-                hists[name].merge(part)
-            else:
-                hists[name] = part
+            hists.setdefault(name, LogHistogram()).merge(
+                LogHistogram.from_dict(data))
         for name, value in rollup["counters"].items():
             counters[name] = counters.get(name, 0) + int(value)
         for link, n in rollup.get("drops_by_link", {}).items():

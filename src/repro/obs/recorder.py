@@ -26,9 +26,11 @@ overhead gate.  Ring entries for topics that carry pooled
 JSON-projected *at append time* — a recycled packet can never alias a
 recorded event.
 
-Dumped windows are JSONL in exactly the :class:`~repro.obs.sinks.
-JsonlSink` record shape, so :func:`repro.obs.sinks.validate_jsonl`
-re-validates every dump against ``obs.SCHEMA``.
+Dumped windows are JSONL lines built by the same
+:func:`~repro.obs.sinks.event_record` as
+:class:`~repro.obs.sinks.JsonlSink` lines, so
+:func:`repro.obs.sinks.validate_jsonl` re-validates every dump against
+``obs.SCHEMA``.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from dataclasses import dataclass
 from typing import (Any, Deque, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
-from repro.obs.bus import SCHEMA, EventBus, Probe
-from repro.obs.sinks import _jsonify
+from repro.obs.bus import EventBus, Probe
+from repro.obs.sinks import _jsonify, event_record
 
 #: Trigger kinds and their default thresholds (and window, where one
 #: applies).  Thresholds: stall seconds / drop count / buffered
@@ -305,7 +307,7 @@ class FlightRecorder:
         if key in self.frozen:
             return
         frames = iter(self._ring_for(key))
-        events = [self._record(topic, t, values)
+        events = [event_record(topic, t, values)
                   for topic, t, values in zip(frames, frames, frames)]
         self.frozen[key] = TriggerEvent(
             kind=trigger.kind, session=key, time=time, value=value,
@@ -313,15 +315,6 @@ class FlightRecorder:
         probe = self._p_trigger
         if probe is not None and probe.active:
             probe.emit(time, key, trigger.kind, value)
-
-    @staticmethod
-    def _record(topic: str, time: float,
-                values: Tuple[Any, ...]) -> Dict[str, Any]:
-        """One event in the JsonlSink record shape (schema-valid)."""
-        record: Dict[str, Any] = {"topic": topic, "t": time}
-        for field, value in zip(SCHEMA[topic], values):
-            record[field] = _jsonify(value)
-        return record
 
     # -- export --------------------------------------------------------
     def dump_paths(self, directory: str) -> List[str]:

@@ -105,6 +105,17 @@ def _jsonify(value: Any) -> Any:
     return repr(value)
 
 
+def event_record(topic: str, time: float,
+                 values: Tuple[Any, ...]) -> Dict[str, Any]:
+    """One probe event as ``{"topic", "t", <schema fields>}`` — the
+    record shape of every JSONL probe log (sink streams and recorder
+    windows alike) that :func:`validate_jsonl` checks."""
+    record: Dict[str, Any] = {"topic": topic, "t": time}
+    for field, value in zip(SCHEMA[topic], values):
+        record[field] = _jsonify(value)
+    return record
+
+
 class JsonlSink:
     """Stream events to a file as JSON lines with bounded memory.
 
@@ -131,10 +142,8 @@ class JsonlSink:
 
     def __call__(self, topic: str, time: float,
                  values: Tuple[Any, ...]) -> None:
-        record: Dict[str, Any] = {"topic": topic, "t": time}
-        for field, value in zip(SCHEMA[topic], values):
-            record[field] = _jsonify(value)
-        self._handle.write(json.dumps(record) + "\n")
+        self._handle.write(json.dumps(event_record(topic, time, values))
+                           + "\n")
         self.lines_written += 1
 
     def close(self) -> None:
@@ -156,13 +165,27 @@ class JsonlSink:
         self.close()
 
 
-def iter_jsonl(path: str) -> Iterator[Dict[str, Any]]:
-    """Yield the records of a JSONL trace file."""
+def iter_jsonl(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Yield ``(line number, record)`` for each non-blank line of a
+    JSONL file, numbering physical lines from 1.
+
+    The one line reader behind every JSONL validator and reader here
+    (probe logs and telemetry logs); raises ``ValueError`` naming the
+    line when it is not a JSON object.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: bad JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: not an object")
+            yield lineno, record
 
 
 def validate_jsonl(path: str) -> int:
@@ -173,7 +196,7 @@ def validate_jsonl(path: str) -> int:
     of validated records; raises ``ValueError`` on the first bad line.
     """
     count = 0
-    for lineno, record in enumerate(iter_jsonl(path), start=1):
+    for lineno, record in iter_jsonl(path):
         topic = record.get("topic")
         if topic not in SCHEMA:
             raise ValueError(f"line {lineno}: unknown topic {topic!r}")

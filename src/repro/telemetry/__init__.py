@@ -24,7 +24,7 @@ worker merge protocol, and :mod:`repro.telemetry.export` for the JSONL
 """
 
 from repro.telemetry.clock import Clock, VirtualClock, WallClock
-from repro.telemetry.core import (Counter, Gauge, Histogram, Metrics,
+from repro.telemetry.core import (Counter, Gauge, Metrics,
                                   NULL_TELEMETRY, NullTelemetry, Span,
                                   SpanHandle, Telemetry, current,
                                   session, start, stop)
@@ -36,7 +36,7 @@ from repro.telemetry.schema import TELEMETRY_SCHEMA
 
 __all__ = [
     "Clock", "VirtualClock", "WallClock",
-    "Counter", "Gauge", "Histogram", "Metrics",
+    "Counter", "Gauge", "Metrics",
     "NULL_TELEMETRY", "NullTelemetry", "Span", "SpanHandle",
     "Telemetry", "current", "session", "start", "stop",
     "TelemetryJsonlWriter", "export_chrome_trace",

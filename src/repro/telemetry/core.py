@@ -31,8 +31,9 @@ import contextlib
 from dataclasses import dataclass, field
 from types import TracebackType
 from typing import (Any, Callable, Dict, Iterator, List, Mapping,
-                    Optional, Tuple, Type, Union)
+                    Optional, Tuple, Type, TypeVar, Union)
 
+from repro.obs.health import LogHistogram
 from repro.telemetry.clock import Clock, WallClock
 from repro.telemetry.schema import TELEMETRY_SCHEMA
 
@@ -41,6 +42,8 @@ Attr = Union[str, int, float, bool, None]
 
 #: Called with each span as it closes (or is merged), children first.
 SpanListener = Callable[["Span"], None]
+
+M = TypeVar("M")
 
 
 @dataclass
@@ -140,69 +143,43 @@ class Gauge:
         self.value = float(value)
 
 
-class Histogram:
-    """count/total/min/max aggregate of scalar observations."""
-
-    __slots__ = ("name", "count", "total", "min", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
 class Metrics:
-    """Schema-validated registry of counters, gauges and histograms."""
+    """Schema-validated registry of counters, gauges and histograms.
+
+    Histograms are :class:`~repro.obs.health.LogHistogram` — the same
+    mergeable type the QoE health rollups use — so worker snapshots
+    merge by integer bucket addition and carry quantiles.
+    """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
+        self._histograms: Dict[str, LogHistogram] = {}
 
     @staticmethod
-    def _check(name: str, kind: str) -> None:
-        declared = TELEMETRY_SCHEMA.get(name)
-        if declared != kind:
-            raise ValueError(
-                f"telemetry name {name!r} is not a declared {kind} "
-                f"(schema says {declared!r}); add it to "
-                "repro.telemetry.schema.TELEMETRY_SCHEMA")
+    def _get(store: Dict[str, M], name: str, kind: str,
+             make: Callable[[str], M]) -> M:
+        """Get-or-create ``name``, which must be a declared ``kind``."""
+        metric = store.get(name)
+        if metric is None:
+            declared = TELEMETRY_SCHEMA.get(name)
+            if declared != kind:
+                raise ValueError(
+                    f"telemetry name {name!r} is not a declared {kind} "
+                    f"(schema says {declared!r}); add it to "
+                    "repro.telemetry.schema.TELEMETRY_SCHEMA")
+            metric = store[name] = make(name)
+        return metric
 
     def counter(self, name: str) -> Counter:
-        metric = self._counters.get(name)
-        if metric is None:
-            self._check(name, "counter")
-            metric = self._counters[name] = Counter(name)
-        return metric
+        return self._get(self._counters, name, "counter", Counter)
 
     def gauge(self, name: str) -> Gauge:
-        metric = self._gauges.get(name)
-        if metric is None:
-            self._check(name, "gauge")
-            metric = self._gauges[name] = Gauge(name)
-        return metric
+        return self._get(self._gauges, name, "gauge", Gauge)
 
-    def histogram(self, name: str) -> Histogram:
-        metric = self._histograms.get(name)
-        if metric is None:
-            self._check(name, "histogram")
-            metric = self._histograms[name] = Histogram(name)
-        return metric
+    def histogram(self, name: str) -> LogHistogram:
+        return self._get(self._histograms, name, "histogram",
+                         lambda _: LogHistogram())
 
     def counters(self) -> List[Counter]:
         return list(self._counters.values())
@@ -210,8 +187,8 @@ class Metrics:
     def gauges(self) -> List[Gauge]:
         return list(self._gauges.values())
 
-    def histograms(self) -> List[Histogram]:
-        return list(self._histograms.values())
+    def histograms(self) -> Dict[str, LogHistogram]:
+        return dict(self._histograms)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able state, mergeable with :meth:`merge`."""
@@ -221,10 +198,8 @@ class Metrics:
             "gauges": {g.name: g.value
                        for g in self._gauges.values()
                        if g.value is not None},
-            "histograms": {h.name: {"count": h.count,
-                                    "total": h.total,
-                                    "min": h.min, "max": h.max}
-                           for h in self._histograms.values()},
+            "histograms": {name: h.to_dict()
+                           for name, h in self._histograms.items()},
         }
 
     def merge(self, snapshot: Mapping[str, Any]) -> None:
@@ -236,18 +211,8 @@ class Metrics:
                 counter.inc(int(n), label=str(label))
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(float(value))
-        for name, agg in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(name)
-            histogram.count += int(agg["count"])
-            histogram.total += float(agg["total"])
-            if agg.get("min") is not None:
-                low = float(agg["min"])
-                histogram.min = low if histogram.min is None \
-                    else min(histogram.min, low)
-            if agg.get("max") is not None:
-                high = float(agg["max"])
-                histogram.max = high if histogram.max is None \
-                    else max(histogram.max, high)
+        for name, data in snapshot.get("histograms", {}).items():
+            self.histogram(name).merge(LogHistogram.from_dict(data))
 
 
 # ---------------------------------------------------------------------

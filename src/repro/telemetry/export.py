@@ -22,6 +22,8 @@ from types import TracebackType
 from typing import (Any, Dict, IO, List, Mapping, Optional, Tuple,
                     Type, Union)
 
+from repro.obs.health import LogHistogram
+from repro.obs.sinks import iter_jsonl
 from repro.telemetry.core import Span, Telemetry
 from repro.telemetry.schema import TELEMETRY_SCHEMA
 
@@ -90,6 +92,38 @@ class TelemetryJsonlWriter:
         return None
 
 
+def _read_span(record: Mapping[str, Any]) -> Span:
+    """A span line as a :class:`Span`, ids included; ``ValueError``
+    when its ids or timestamps are malformed."""
+    if not (type(record.get("id")) is int and record["id"] >= 1
+            and type(record.get("parent")) is int):
+        raise ValueError("bad span id/parent")
+    t0, t1 = record.get("t0"), record.get("t1")
+    if not (type(t0) in (int, float) and type(t1) in (int, float)
+            and t1 >= t0):
+        raise ValueError("bad span timestamps")
+    span = Span.from_dict(record)
+    span.span_id, span.parent_id = record["id"], record["parent"]
+    return span
+
+
+def _read_metric(kind: str, record: Mapping[str, Any]) -> Any:
+    """The snapshot value of a counter, gauge or histogram line (as
+    :meth:`Metrics.snapshot` holds it); ``ValueError`` when malformed.
+    Histograms go through the strict :meth:`LogHistogram.from_dict`."""
+    if kind == "counter":
+        values = record.get("values")
+        if not (isinstance(values, dict)
+                and all(type(n) is int for n in values.values())):
+            raise ValueError("counter values must map labels to ints")
+        return dict(values)
+    if kind == "gauge":
+        if type(record.get("value")) not in (int, float):
+            raise ValueError("gauge value must be a number")
+        return record["value"]
+    return LogHistogram.from_dict(record).to_dict()
+
+
 def read_telemetry_jsonl(path: str) \
         -> Tuple[List[Span], Dict[str, Any]]:
     """Rebuild (root spans, metrics snapshot) from a JSONL log.
@@ -101,34 +135,15 @@ def read_telemetry_jsonl(path: str) \
     order: List[Tuple[int, int]] = []  # (span_id, parent_id) file order
     metrics: Dict[str, Any] = {"counters": {}, "gauges": {},
                                "histograms": {}}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("type")
-            if kind == "span":
-                span = Span(
-                    name=str(record["name"]),
-                    label=str(record.get("label", "")),
-                    attrs=dict(record.get("attrs", {})),
-                    timing=dict(record.get("timing", {})),
-                    t0=float(record["t0"]), t1=float(record["t1"]),
-                    status=str(record.get("status", "ok")),
-                    span_id=int(record["id"]),
-                    parent_id=int(record["parent"]))
-                by_id[span.span_id] = span
-                order.append((span.span_id, span.parent_id))
-            elif kind == "counter":
-                metrics["counters"][record["name"]] = dict(
-                    record["values"])
-            elif kind == "gauge":
-                metrics["gauges"][record["name"]] = record["value"]
-            elif kind == "histogram":
-                metrics["histograms"][record["name"]] = {
-                    key: record[key]
-                    for key in ("count", "total", "min", "max")}
+    for _, record in iter_jsonl(path):
+        kind = record.get("type")
+        if kind == "span":
+            span = _read_span(record)
+            by_id[span.span_id] = span
+            order.append((span.span_id, span.parent_id))
+        elif kind in ("counter", "gauge", "histogram"):
+            metrics[kind + "s"][record["name"]] = \
+                _read_metric(kind, record)
     roots: List[Span] = []
     for span_id, parent_id in order:  # children precede parents
         parent = by_id.get(parent_id)
@@ -143,65 +158,43 @@ def validate_telemetry_jsonl(path: str) -> int:
     """Validate a telemetry JSONL log; returns the record count.
 
     Raises ValueError (with a line number) on malformed JSON, unknown
-    record types, undeclared or mis-kinded telemetry names, or
-    non-monotone span timestamps.  A missing ``end`` marker is fine —
-    aborted runs stop mid-stream by design — but when present its span
-    count must match.
+    record types, undeclared or mis-kinded telemetry names, and span
+    or metric lines :func:`read_telemetry_jsonl` cannot read back
+    (bad ids, non-monotone timestamps, malformed payloads).  A missing
+    ``end`` marker is fine — aborted runs stop mid-stream by design —
+    but when present its span count must match.
     """
     records = 0
     spans_seen = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad JSON: {exc}")
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: not an object")
-            kind = record.get("type")
-            if lineno == 1 and kind != "meta":
-                raise ValueError(f"{path}:1: first record must be "
-                                 f"'meta', got {kind!r}")
+    for lineno, record in iter_jsonl(path):
+        kind = record.get("type")
+        try:
+            if records == 0 and kind != "meta":
+                raise ValueError(
+                    f"first record must be 'meta', got {kind!r}")
             if kind == "meta":
                 if record.get("schema") != JSONL_SCHEMA_VERSION:
-                    raise ValueError(
-                        f"{path}:{lineno}: unsupported schema "
-                        f"{record.get('schema')!r}")
-            elif kind == "span":
-                name = record.get("name")
-                if TELEMETRY_SCHEMA.get(str(name)) != "span":
-                    raise ValueError(
-                        f"{path}:{lineno}: undeclared span {name!r}")
-                if not isinstance(record.get("id"), int) \
-                        or record["id"] < 1 \
-                        or not isinstance(record.get("parent"), int):
-                    raise ValueError(
-                        f"{path}:{lineno}: bad span id/parent")
-                t0, t1 = record.get("t0"), record.get("t1")
-                if not isinstance(t0, (int, float)) \
-                        or not isinstance(t1, (int, float)) \
-                        or t1 < t0:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad span timestamps")
-                spans_seen += 1
-            elif kind in ("counter", "gauge", "histogram"):
+                    raise ValueError(f"unsupported schema "
+                                     f"{record.get('schema')!r}")
+            elif kind in ("span", "counter", "gauge", "histogram"):
                 name = record.get("name")
                 if TELEMETRY_SCHEMA.get(str(name)) != kind:
-                    raise ValueError(
-                        f"{path}:{lineno}: undeclared {kind} {name!r}")
+                    raise ValueError(f"undeclared {kind} {name!r}")
+                if kind == "span":
+                    _read_span(record)
+                    spans_seen += 1
+                else:
+                    _read_metric(kind, record)
             elif kind == "end":
                 if record.get("spans") != spans_seen:
                     raise ValueError(
-                        f"{path}:{lineno}: end marker says "
-                        f"{record.get('spans')} spans, saw "
-                        f"{spans_seen}")
+                        f"end marker says {record.get('spans')} "
+                        f"spans, saw {spans_seen}")
             else:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown record type {kind!r}")
-            records += 1
+                raise ValueError(f"unknown record type {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        records += 1
     if records == 0:
         raise ValueError(f"{path}: empty telemetry log")
     return records
@@ -307,12 +300,13 @@ def summary(tel: Telemetry) -> str:
                 f"  worker utilization: {100.0 * gauge.value:.1f}%")
         else:
             lines.append(f"  {gauge.name} = {gauge.value:.4g}")
-    histograms = [h for h in tel.metrics.histograms() if h.count]
+    histograms = {name: hist for name, hist
+                  in tel.metrics.histograms().items() if hist.count}
     if histograms:
         lines.append("  histograms:")
-        for hist in histograms:
+        for name, hist in histograms.items():
             lines.append(
-                f"    {hist.name}: n={hist.count}"
-                f" mean={hist.mean:.4f}s"
+                f"    {name}: n={hist.count}"
+                f" mean={hist.mean():.4f}s"
                 f" min={hist.min:.4f}s max={hist.max:.4f}s")
     return "\n".join(lines)

@@ -24,7 +24,8 @@ Kinds:
     A last-write-wins float (e.g. worker utilization of the last
     parallel map).
 ``histogram``
-    Scalar observations aggregated as count/total/min/max.
+    Non-negative scalar observations (durations) aggregated in a
+    :class:`~repro.obs.health.LogHistogram`.
 """
 
 from __future__ import annotations

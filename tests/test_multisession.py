@@ -274,6 +274,31 @@ class TestExperiments:
         assert cache.get_run(spec)["sessions"]["2.0"] == \
             [0.1, 0.2, 0.0]
 
+    def test_cache_treats_bad_late_hist_as_corrupt_miss(self, tmp_path):
+        from repro import telemetry
+        from repro.experiments.cache import ResultCache
+        from repro.obs.health import hist_of
+        cache = ResultCache(str(tmp_path))
+        spec = RunSpec(setting=CAMPAIGN_SETTING, duration_s=5.0,
+                       scheme="dmp", seed=1, send_buffer_pkts=16,
+                       taus=(2.0,))
+        late_hist = hist_of([0.1, 0.2, 0.0]).to_dict()
+        record = {"flow_stats": [], "taus": {"2.0": [0.1, 0.1]},
+                  "sessions": {"2.0": [0.1, 0.2, 0.0]},
+                  "health": {"rollup": {},
+                             "late_hists": {"2.0": dict(late_hist,
+                                                        count=2)}}}
+        cache.put_run(spec, record)
+        with telemetry.session() as tel:
+            assert cache.get_run(spec) is None
+        key = cache.run_key(spec)
+        assert tel.metrics.counter("cache.corrupt").values \
+            == {f"run:{key[:12]}": 1}
+        assert (cache.hits, cache.misses) == (0, 1)
+        record["health"]["late_hists"]["2.0"] = late_hist
+        cache.put_run(spec, record)
+        assert cache.get_run(spec) is not None
+
     def test_run_setting_rejects_campaign_settings(self):
         with pytest.raises(ValueError, match="run_campaign"):
             run_setting(CAMPAIGN_SETTING, profile=TINY, cache=False)

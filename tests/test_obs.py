@@ -266,6 +266,21 @@ def test_validate_jsonl_rejects_bad_records(tmp_path):
         validate_jsonl(path)
 
 
+def test_validate_jsonl_reports_physical_line_numbers(tmp_path):
+    path = str(tmp_path / "bad.jsonl")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n\n" + json.dumps(
+            {"topic": "bogus.topic", "t": 1.0}) + "\n")
+    with pytest.raises(ValueError, match="line 3: unknown topic"):
+        validate_jsonl(path)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps({"topic": "engine.compact", "t": 1.0,
+                                 "removed": 3, "pending": 9})
+                     + "\n\n{not json\n")
+    with pytest.raises(ValueError, match="bad.jsonl:3: bad JSON"):
+        validate_jsonl(path)
+
+
 def test_jsonl_sink_pattern_restriction():
     session = tiny_session(seed=7)
     buffer = io.StringIO()

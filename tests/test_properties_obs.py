@@ -86,6 +86,28 @@ def test_hist_roundtrips_through_json(xs):
     assert json.dumps(back.to_dict(), sort_keys=True) == text
 
 
+def test_hist_from_dict_rejects_counts_that_do_not_add_up():
+    good = hist_of([0.1, 0.2, 0.3, 0.4]).to_dict()
+    assert LogHistogram.from_dict(good).quantile(0.99) \
+        == hist_of([0.4]).quantile(0.5)
+    # A count edited below the bucket total would shift every rank.
+    with pytest.raises(ValueError, match="count 2"):
+        LogHistogram.from_dict(dict(good, count=2))
+    # A count with no buckets behind it.
+    with pytest.raises(ValueError, match="count 5"):
+        LogHistogram.from_dict(dict(good, buckets={}, count=5))
+    # Negative (and non-int) bucket counts.
+    index = next(iter(good["buckets"]))
+    for bad in (-1, 1.5, True):
+        buckets = dict(good["buckets"], **{index: bad})
+        with pytest.raises(ValueError, match="non-negative ints"):
+            LogHistogram.from_dict(dict(good, buckets=buckets))
+    with pytest.raises(ValueError, match="non-negative ints"):
+        LogHistogram.from_dict(dict(good, zero=-1, count=3))
+    with pytest.raises(ValueError, match="malformed"):
+        LogHistogram.from_dict({"count": 0})
+
+
 @given(xs=st.lists(finite_values, min_size=1, max_size=60),
        q=quantiles)
 def test_hist_quantile_is_bucket_floor_of_order_statistic(xs, q):

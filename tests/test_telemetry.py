@@ -27,6 +27,7 @@ from repro.experiments.parallel import ModelTask, ReplicationExecutor
 from repro.experiments.configs import Setting
 from repro.experiments.runner import ScaleProfile, run_setting
 from repro.model.tcp_chain import FlowParams
+from repro.obs.health import LogHistogram
 from repro.telemetry import (
     NULL_TELEMETRY,
     Span,
@@ -183,9 +184,10 @@ def test_counter_gauge_histogram_basics():
         g.set(0.75)
         assert g.value == 0.75
         h = tel.metrics.histogram("executor.item_seconds")
+        assert isinstance(h, LogHistogram)
         for v in (1.0, 3.0):
-            h.observe(v)
-        assert (h.count, h.mean, h.min, h.max) == (2, 2.0, 1.0, 3.0)
+            h.record(v)
+        assert (h.count, h.mean(), h.min, h.max) == (2, 2.0, 1.0, 3.0)
         # get-or-create returns the same object.
         assert tel.metrics.counter("cache.hit") is c
 
@@ -194,16 +196,38 @@ def test_metrics_snapshot_merge_adds_and_overwrites():
     with telemetry.session() as a:
         a.metrics.counter("cache.hit").inc(label="run")
         a.metrics.gauge("executor.utilization").set(0.5)
-        a.metrics.histogram("executor.item_seconds").observe(2.0)
+        a.metrics.histogram("executor.item_seconds").record(2.0)
         snap = a.metrics.snapshot()
     with telemetry.session() as b:
         b.metrics.counter("cache.hit").inc(label="run")
-        b.metrics.histogram("executor.item_seconds").observe(6.0)
+        b.metrics.histogram("executor.item_seconds").record(6.0)
         b.metrics.merge(snap)
         assert b.metrics.counter("cache.hit").values == {"run": 2}
         assert b.metrics.gauge("executor.utilization").value == 0.5
         h = b.metrics.histogram("executor.item_seconds")
         assert (h.count, h.min, h.max) == (2, 2.0, 6.0)
+
+
+def test_snapshot_merges_in_submit_order_equal_one_session():
+    # Worker snapshots folded in submit order hold exactly what one
+    # session recording every observation would: same buckets, count,
+    # min and max.
+    parts = [[0.25, 3.0], [0.0, 0.5, 7.5], [1e-3]]
+    with telemetry.session() as whole:
+        hist = whole.metrics.histogram("executor.item_seconds")
+        for value in (v for part in parts for v in part):
+            hist.record(value)
+    with telemetry.session() as merged:
+        for part in parts:
+            with telemetry.session() as worker:
+                for value in part:
+                    worker.metrics.histogram(
+                        "executor.item_seconds").record(value)
+            merged.metrics.merge(worker.metrics.snapshot())
+    got = merged.metrics.histogram("executor.item_seconds")
+    assert (got.buckets, got.zero_count, got.count, got.min, got.max) \
+        == (hist.buckets, hist.zero_count, hist.count, hist.min,
+            hist.max)
 
 
 # ---------------------------------------------------------------------
@@ -291,7 +315,7 @@ def test_jsonl_writer_round_trip(tmp_path):
                     clock.advance(0.5)
             tel.metrics.counter("cache.hit").inc(label="run")
             tel.metrics.gauge("executor.utilization").set(0.5)
-            tel.metrics.histogram("executor.item_seconds").observe(2.0)
+            tel.metrics.histogram("executor.item_seconds").record(2.0)
     assert telemetry.validate_telemetry_jsonl(path) >= 5
     roots, metrics = telemetry.read_telemetry_jsonl(path)
     assert [r.signature() for r in roots] \
@@ -301,6 +325,20 @@ def test_jsonl_writer_round_trip(tmp_path):
     assert metrics["histograms"]["executor.item_seconds"]["count"] == 1
     first = json.loads(open(path, encoding="utf-8").readline())
     assert first["type"] == "meta"
+
+
+def test_jsonl_histogram_record_round_trips(tmp_path):
+    path = str(tmp_path / "telemetry.jsonl")
+    with telemetry.session(clock=VirtualClock()) as tel:
+        with TelemetryJsonlWriter(tel, path):
+            hist = tel.metrics.histogram("executor.item_seconds")
+            for value in (0.0, 0.125, 0.3, 2.0, 2.0):
+                hist.record(value)
+    _, metrics = telemetry.read_telemetry_jsonl(path)
+    back = LogHistogram.from_dict(
+        metrics["histograms"]["executor.item_seconds"])
+    assert back.to_dict() == hist.to_dict()
+    assert back.quantile(0.5) == hist.quantile(0.5)
 
 
 def test_jsonl_writer_flushes_on_exception(tmp_path):
@@ -360,6 +398,31 @@ def test_validate_rejects_bad_logs(tmp_path):
         telemetry.validate_telemetry_jsonl(str(bad))
 
 
+_META = '{"type": "meta", "schema": 1}\n'
+
+
+@pytest.mark.parametrize("record, problem", [
+    ('{"type": "histogram", "name": "executor.item_seconds"}',
+     "malformed histogram snapshot"),
+    ('{"type": "histogram", "name": "executor.item_seconds",'
+     ' "buckets": {"3": 1}, "zero": 0, "count": 2, "sum": 1.0}',
+     "count 2"),
+    ('{"type": "counter", "name": "cache.hit"}', "values"),
+    ('{"type": "counter", "name": "cache.hit", "values": {"run": 1.5}}',
+     "values"),
+    ('{"type": "gauge", "name": "executor.utilization"}', "value"),
+    ('{"type": "gauge", "name": "executor.utilization",'
+     ' "value": "high"}', "value"),
+], ids=["hist-no-buckets", "hist-count-mismatch", "counter-no-values",
+        "counter-float", "gauge-no-value", "gauge-str"])
+def test_validate_rejects_metric_payloads_the_reader_cannot_read(
+        tmp_path, record, problem):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_META + "\n" + record + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"bad.jsonl:3: .*{problem}"):
+        telemetry.validate_telemetry_jsonl(str(bad))
+
+
 # ---------------------------------------------------------------------
 # Chrome trace export
 # ---------------------------------------------------------------------
@@ -405,7 +468,7 @@ def test_summary_reports_rates_and_aggregates():
         tel.metrics.counter("cache.hit").inc(3, label="run")
         tel.metrics.counter("cache.miss").inc(1, label="run")
         tel.metrics.gauge("executor.utilization").set(0.805)
-        tel.metrics.histogram("executor.item_seconds").observe(1.5)
+        tel.metrics.histogram("executor.item_seconds").record(1.5)
     text = telemetry.summary(tel)
     assert "campaign" in text
     assert "cache hit rate: 75.0%" in text

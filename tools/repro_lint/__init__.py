@@ -5,7 +5,7 @@ package encodes the *domain* invariants that every PR so far has had to
 defend by hand:
 
 * bit-identical determinism under a seeded RNG (RL001, RL002),
-* probe payloads matching the ``repro.obs`` SCHEMA registry (RL003),
+* instrumentation names matching their declared registries (RL003),
 * cache keys covering every field that affects results (RL004),
 * no float equality in the analytical model (RL005).
 

@@ -1,303 +1,237 @@
-"""RL003 — probe topics and payloads must match the ``obs`` SCHEMA.
+"""RL003 — literal names must match their declared registries.
 
-The instrumentation bus (:mod:`repro.obs.bus`) declares every probe
-point in one registry::
+Three registries declare the instrumentation's names, each read at
+runtime by the one module that owns it: probe topics
+(``repro.obs.bus.SCHEMA``, opened with ``bus.probe("topic")``),
+campaign spans and metrics (``repro.telemetry.schema.TELEMETRY_SCHEMA``,
+``.span`` / ``.counter`` / ``.gauge`` / ``.histogram("name")``) and
+exposition series (``repro.obs.export.PROMETHEUS_METRICS``,
+``sample_line`` for gauges and counters, ``histogram_lines``).  They
+stay separate dicts — merged, ``.gauge("repro_campaign_sessions")``
+would pass — but share this one check, driven by :data:`REGISTRIES`:
+one row per registry giving its file and variable, how an entry's
+kind is read, which kinds each accessor or helper accepts, and the
+message wording.  Across the whole tree (which no per-file linter can
+see), for every row whose registry file is part of the run:
 
-    SCHEMA = {"link.drop": ("link", "packet", "qlen"), ...}
+* an accessor call under ``src/`` with a literal first argument must
+  name a declared entry (the runtime refuses undeclared names too, but
+  only on the paths a given run executes), of a kind the accessor
+  accepts (``.counter("executor.utilization")`` on a gauge entry is a
+  bug);
+* every entry needs at least one literal call site under ``src/``; a
+  dead entry fires on its own line, so it gets removed or the
+  instrumentation restored.
 
-Downstream consumers (JSONL schema validation, the trace bridge, the
-counters CLI) trust that registry, so three things must stay true
-across the whole tree — none of which a per-file linter can see:
-
-* every ``bus.probe("topic")`` call names a declared topic
-  (``EventBus.probe`` also enforces this at runtime, but only on the
-  code paths a given run happens to execute);
-* every ``<probe>.emit(t, ...)`` call carries exactly the declared
-  payload: one leading timestamp plus ``len(SCHEMA[topic])`` values —
-  an arity drift silently mis-labels JSONL fields;
-* every SCHEMA entry has at least one emitter under ``src/`` — a
-  dead entry documents a probe that no longer exists (dead-schema
-  detection fires on the SCHEMA line so the entry gets removed or the
-  probe restored).
-
-Emit sites are resolved by tracking, per class, assignments of the
-form ``self._p_x = <...>.probe("topic")`` (conditional forms included)
-and plain-variable equivalents, plus local aliases
-(``p = self._p_x``).  Attributes bound in a base class (possibly in
-another file) resolve through a project-wide attribute-name map; a
-name bound to two different topics anywhere is ambiguous and skipped.
-
-The campaign telemetry layer (:mod:`repro.telemetry`) has the same
-shape of contract against its own registry,
-``TELEMETRY_SCHEMA = {"cache.hit": "counter", ...}``:
-
-* every ``.span("name")`` / ``.counter("name")`` / ``.gauge("name")``
-  / ``.histogram("name")`` call with a literal name must name a
-  declared entry, and the accessor must match the declared kind
-  (``.counter("executor.utilization")`` on a gauge entry is a bug the
-  runtime would also catch, but only on an executed path);
-* every TELEMETRY_SCHEMA entry needs at least one literal call site
-  under ``src/`` — dead entries fire on the schema line.
-
-The Prometheus exporter (:mod:`repro.obs.export`) carries the third
-registry of the same shape, ``PROMETHEUS_METRICS = {"repro_...":
-("gauge", "help"), ...}``:
-
-* every ``sample_line("name", ...)`` / ``histogram_lines("name", ...)``
-  call with a literal first argument must name a registered metric,
-  and the helper must match the registered type (``sample_line`` on a
-  histogram entry — or ``histogram_lines`` on a gauge/counter — is a
-  bug the helpers would also raise at runtime, but only on an
-  executed path);
-* every PROMETHEUS_METRICS entry needs at least one literal emission
-  site under ``src/`` — dead entries fire on the registry line.
-
-All three halves are inert when their schema file is not part of the
-run.
+Probe topics carry one more contract: every ``<probe>.emit(t, ...)``
+carries one timestamp plus exactly ``len(SCHEMA[topic])`` values — an
+arity drift silently mis-labels JSONL fields.  Emit sites are resolved
+by tracking, per class, ``self._p_x = <...>.probe("topic")`` bindings
+(conditional forms included), plain-variable equivalents and local
+aliases (``p = self._p_x``).  Attributes bound in a base class
+(possibly in another file) resolve through a project-wide map; a name
+bound to two different topics anywhere is ambiguous and skipped.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import (Any, Callable, Dict, FrozenSet, List, Mapping,
+                    Optional, Set, Tuple)
 
-from tools.repro_lint.engine import Finding, Project
+from tools.repro_lint.engine import Finding, Project, SourceFile
 
 RULE = "RL003"
 SUMMARY = ("probe/telemetry names inconsistent with their declared "
            "schema registries")
 
-SCHEMA_FILE = "src/repro/obs/bus.py"
-TELEMETRY_SCHEMA_FILE = "src/repro/telemetry/schema.py"
-PROMETHEUS_FILE = "src/repro/obs/export.py"
 EMITTER_SCOPE = ("src",)
-
-#: Telemetry accessor method -> the kind its argument must declare.
-_TELEMETRY_METHODS = {
-    "span": "span",
-    "counter": "counter",
-    "gauge": "gauge",
-    "histogram": "histogram",
-}
 
 _AMBIGUOUS = object()
 
 
-def _parse_schema(source) -> Optional[Dict[str, Tuple[int, int]]]:
-    """SCHEMA topics -> (field count, line number of the entry)."""
+def _str_value(node: Optional[ast.expr]) -> Optional[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _tuple_arity(node: ast.expr) -> Optional[int]:
+    return len(node.elts) if isinstance(node, ast.Tuple) else None
+
+
+def _tuple_head(node: ast.expr) -> Optional[str]:
+    if isinstance(node, ast.Tuple) and node.elts:
+        return _str_value(node.elts[0])
+    return None
+
+
+@dataclass(frozen=True)
+class Registry:
+    """One declared-name registry and how its call sites look."""
+
+    file: str
+    variable: str
+    #: An entry's kind from its value node; None skips the entry.
+    kind_of: Callable[[ast.expr], Any]
+    #: Accessor/helper name -> kinds it accepts (None: any kind).
+    calls: Mapping[str, Optional[FrozenSet[str]]]
+    #: Message templates, formatted with ``name``, ``kind``, ``call``.
+    unknown: str
+    mismatch: str
+    dead: str
+
+
+PROBES = Registry(
+    "src/repro/obs/bus.py", "SCHEMA", _tuple_arity, {"probe": None},
+    unknown="probe topic {name!r} is not declared in "
+            "repro.obs.bus.SCHEMA",
+    mismatch="",
+    dead="dead schema entry {name!r}: no emitter under src/ declares "
+         "this probe — remove the entry or restore the probe")
+
+REGISTRIES: Tuple[Registry, ...] = (
+    PROBES,
+    Registry(
+        "src/repro/telemetry/schema.py", "TELEMETRY_SCHEMA", _str_value,
+        {kind: frozenset({kind})
+         for kind in ("span", "counter", "gauge", "histogram")},
+        unknown="telemetry name {name!r} is not declared in "
+                "repro.telemetry.schema.TELEMETRY_SCHEMA",
+        mismatch="telemetry name {name!r} is declared as a {kind} but "
+                 "used via .{call}()",
+        dead="dead telemetry schema entry {name!r} ({kind}): no literal "
+             "call site under src/ uses this name — remove the entry "
+             "or restore the instrumentation"),
+    Registry(
+        "src/repro/obs/export.py", "PROMETHEUS_METRICS", _tuple_head,
+        {"sample_line": frozenset({"gauge", "counter"}),
+         "histogram_lines": frozenset({"histogram"})},
+        unknown="Prometheus metric {name!r} is not registered in "
+                "repro.obs.export.PROMETHEUS_METRICS",
+        mismatch="Prometheus metric {name!r} is registered as a {kind} "
+                 "but emitted via {call}()",
+        dead="dead Prometheus registry entry {name!r} ({kind}): no "
+             "literal sample_line()/histogram_lines() site under src/ "
+             "emits this metric — remove the entry or restore the "
+             "emission"),
+)
+
+
+@dataclass
+class _Parsed:
+    """A registry row with its parsed entries and the names used."""
+
+    registry: Registry
+    source: SourceFile
+    #: name -> (kind, line number of the entry)
+    entries: Dict[str, Tuple[Any, int]]
+    used: Set[str] = field(default_factory=set)
+
+
+def _parse_registry(source: SourceFile, registry: Registry) \
+        -> Optional[Dict[str, Tuple[Any, int]]]:
+    """The registry's dict literal as name -> (kind, entry line);
+    None when the variable is absent or not a dict literal."""
+    assert source.tree is not None
     for node in ast.walk(source.tree):
-        targets = []
         if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
+            targets, value = node.targets, node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
+            targets, value = [node.target], node.value
         else:
             continue
-        if not any(isinstance(t, ast.Name) and t.id == "SCHEMA"
+        if not any(isinstance(t, ast.Name) and t.id == registry.variable
                    for t in targets):
             continue
         if not isinstance(value, ast.Dict):
             return None
-        schema: Dict[str, Tuple[int, int]] = {}
+        entries: Dict[str, Tuple[Any, int]] = {}
         for key, val in zip(value.keys, value.values):
-            if isinstance(key, ast.Constant) \
-                    and isinstance(key.value, str) \
-                    and isinstance(val, ast.Tuple):
-                schema[key.value] = (len(val.elts), key.lineno)
-        return schema
+            name = _str_value(key)
+            kind = registry.kind_of(val)
+            if key is not None and name is not None and kind is not None:
+                entries[name] = (kind, key.lineno)
+        return entries
     return None
 
 
-def _parse_telemetry_schema(source) \
-        -> Optional[Dict[str, Tuple[str, int]]]:
-    """TELEMETRY_SCHEMA names -> (kind, line number of the entry)."""
-    for node in ast.walk(source.tree):
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        if not any(isinstance(t, ast.Name) and t.id == "TELEMETRY_SCHEMA"
-                   for t in targets):
-            continue
-        if not isinstance(value, ast.Dict):
-            return None
-        schema: Dict[str, Tuple[str, int]] = {}
-        for key, val in zip(value.keys, value.values):
-            if isinstance(key, ast.Constant) \
-                    and isinstance(key.value, str) \
-                    and isinstance(val, ast.Constant) \
-                    and isinstance(val.value, str):
-                schema[key.value] = (val.value, key.lineno)
-        return schema
-    return None
+def _literal_call(node: ast.AST) -> Optional[Tuple[str, str]]:
+    """(called name, literal first argument) of ``f("lit", ...)`` or
+    ``<...>.f("lit", ...)``; None for any other node."""
+    if not (isinstance(node, ast.Call) and node.args):
+        return None
+    literal = _str_value(node.args[0])
+    if isinstance(node.func, ast.Name):
+        called = node.func.id
+    elif isinstance(node.func, ast.Attribute):
+        called = node.func.attr
+    else:
+        return None
+    return None if literal is None else (called, literal)
 
 
-def _check_telemetry(project: Project) -> List[Finding]:
-    """Validate literal telemetry names against TELEMETRY_SCHEMA."""
-    schema_source = project.get(TELEMETRY_SCHEMA_FILE)
-    if schema_source is None or schema_source.tree is None:
-        return []  # telemetry package not part of this run; inert
-    schema = _parse_telemetry_schema(schema_source)
-    if schema is None:
-        return [Finding(schema_source.path, 1, 1, RULE,
-                        "could not parse the TELEMETRY_SCHEMA dict "
-                        "literal")]
-
+def _check_calls(rows: List[_Parsed], project: Project) -> List[Finding]:
+    """Undeclared names and kind mismatches at literal call sites;
+    marks the names each row sees used."""
+    by_call = {call: row for row in rows for call in row.registry.calls}
     findings: List[Finding] = []
-    used_names: Set[str] = set()
-    for source in project.iter_package(*EMITTER_SCOPE):
-        if source.tree is None or source.rel == TELEMETRY_SCHEMA_FILE:
-            continue
-        for node in ast.walk(source.tree):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _TELEMETRY_METHODS
-                    and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)):
-                continue
-            name = node.args[0].value
-            kind = _TELEMETRY_METHODS[node.func.attr]
-            declared = schema.get(name)
-            if declared is None:
-                findings.append(Finding(
-                    source.path, node.lineno, node.col_offset + 1,
-                    RULE, f"telemetry name {name!r} is not declared "
-                          "in repro.telemetry.schema.TELEMETRY_SCHEMA"))
-                continue
-            used_names.add(name)
-            if declared[0] != kind:
-                findings.append(Finding(
-                    source.path, node.lineno, node.col_offset + 1,
-                    RULE,
-                    f"telemetry name {name!r} is declared as a "
-                    f"{declared[0]} but used via .{node.func.attr}()"))
-
-    for name, (kind, lineno) in sorted(schema.items()):
-        if name not in used_names:
-            findings.append(Finding(
-                schema_source.path, lineno, 1, RULE,
-                f"dead telemetry schema entry {name!r} ({kind}): no "
-                "literal call site under src/ uses this name — remove "
-                "the entry or restore the instrumentation"))
-    return findings
-
-
-#: Exporter helper -> whether its literal first argument must name a
-#: histogram entry (True), a gauge/counter entry (False).
-_PROMETHEUS_HELPERS = {
-    "sample_line": False,
-    "histogram_lines": True,
-}
-
-
-def _parse_prometheus_registry(source) \
-        -> Optional[Dict[str, Tuple[str, int]]]:
-    """PROMETHEUS_METRICS names -> (type, line number of the entry)."""
-    for node in ast.walk(source.tree):
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        if not any(isinstance(t, ast.Name)
-                   and t.id == "PROMETHEUS_METRICS" for t in targets):
-            continue
-        if not isinstance(value, ast.Dict):
-            return None
-        registry: Dict[str, Tuple[str, int]] = {}
-        for key, val in zip(value.keys, value.values):
-            if isinstance(key, ast.Constant) \
-                    and isinstance(key.value, str) \
-                    and isinstance(val, ast.Tuple) and val.elts \
-                    and isinstance(val.elts[0], ast.Constant) \
-                    and isinstance(val.elts[0].value, str):
-                registry[key.value] = (val.elts[0].value, key.lineno)
-        return registry
-    return None
-
-
-def _check_prometheus(project: Project) -> List[Finding]:
-    """Validate literal metric names against PROMETHEUS_METRICS."""
-    registry_source = project.get(PROMETHEUS_FILE)
-    if registry_source is None or registry_source.tree is None:
-        return []  # exporter not part of this run; inert
-    registry = _parse_prometheus_registry(registry_source)
-    if registry is None:
-        return [Finding(registry_source.path, 1, 1, RULE,
-                        "could not parse the PROMETHEUS_METRICS dict "
-                        "literal")]
-
-    findings: List[Finding] = []
-    used_names: Set[str] = set()
     for source in project.iter_package(*EMITTER_SCOPE):
         if source.tree is None:
             continue
         for node in ast.walk(source.tree):
-            if not (isinstance(node, ast.Call) and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)):
+            hit = _literal_call(node)
+            row = by_call.get(hit[0]) if hit is not None else None
+            if hit is None or row is None:
                 continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                helper = func.id
-            elif isinstance(func, ast.Attribute):
-                helper = func.attr
-            else:
-                continue
-            wants_histogram = _PROMETHEUS_HELPERS.get(helper)
-            if wants_histogram is None:
-                continue
-            name = node.args[0].value
-            declared = registry.get(name)
-            if declared is None:
+            call, name = hit
+            registry = row.registry
+            at = (source.path, node.lineno, node.col_offset + 1, RULE)
+            entry = row.entries.get(name)
+            if entry is None:
                 findings.append(Finding(
-                    source.path, node.lineno, node.col_offset + 1,
-                    RULE, f"Prometheus metric {name!r} is not "
-                          "registered in repro.obs.export."
-                          "PROMETHEUS_METRICS"))
+                    *at, registry.unknown.format(name=name)))
                 continue
-            used_names.add(name)
-            is_histogram = declared[0] == "histogram"
-            if is_histogram != wants_histogram:
-                findings.append(Finding(
-                    source.path, node.lineno, node.col_offset + 1,
-                    RULE,
-                    f"Prometheus metric {name!r} is registered as a "
-                    f"{declared[0]} but emitted via {helper}()"))
-
-    for name, (kind, lineno) in sorted(registry.items()):
-        if name not in used_names:
-            findings.append(Finding(
-                registry_source.path, lineno, 1, RULE,
-                f"dead Prometheus registry entry {name!r} ({kind}): "
-                "no literal sample_line()/histogram_lines() site "
-                "under src/ emits this metric — remove the entry or "
-                "restore the emission"))
+            row.used.add(name)
+            accepted = registry.calls[call]
+            if accepted is not None and entry[0] not in accepted:
+                findings.append(Finding(*at, registry.mismatch.format(
+                    name=name, kind=entry[0], call=call)))
     return findings
 
 
-def _probe_topic(node: ast.AST) -> Optional[ast.Call]:
-    """The ``<...>.probe("lit")`` call inside ``node``, if any."""
+def _dead_entries(row: _Parsed) -> List[Finding]:
+    """Entries no literal call site under ``src/`` uses, reported on
+    the entry's own line."""
+    return [Finding(row.source.path, lineno, 1, RULE,
+                    row.registry.dead.format(name=name, kind=kind))
+            for name, (kind, lineno) in sorted(row.entries.items())
+            if name not in row.used]
+
+
+def _bind(bindings: Dict[Any, object], key: Any, topic: object) -> None:
+    """Record ``key -> topic``; a key bound to two topics is ambiguous."""
+    known = bindings.get(key)
+    ambiguous = known is not None and known != topic
+    bindings[key] = _AMBIGUOUS if ambiguous else topic
+
+
+def _self_attr(node: ast.expr) -> Optional[str]:
+    """``X`` for a ``self.X`` expression, else None."""
+    if isinstance(node, ast.Attribute) \
+            and isinstance(node.value, ast.Name) \
+            and node.value.id == "self":
+        return node.attr
+    return None
+
+
+def _probe_topic(node: ast.AST) -> Optional[str]:
+    """The topic of the ``probe("lit")`` call inside ``node``, if any."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) \
-                and isinstance(sub.func, ast.Attribute) \
-                and sub.func.attr == "probe" \
-                and len(sub.args) == 1 \
-                and isinstance(sub.args[0], ast.Constant) \
-                and isinstance(sub.args[0].value, str):
-            return sub
+        hit = _literal_call(sub)
+        if hit is not None and hit[0] == "probe":
+            return hit[1]
     return None
 
 
@@ -311,7 +245,6 @@ class _FileScan(ast.NodeVisitor):
         self.bindings: Dict[Tuple[str, str, str], object] = {}
         # (class, var) -> self-attribute it aliases (``p = self._p_x``)
         self.var_aliases: Dict[Tuple[str, str], str] = {}
-        self.probe_calls: List[ast.Call] = []
         self.emit_calls: List[Tuple[str, ast.Call]] = []
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -319,64 +252,35 @@ class _FileScan(ast.NodeVisitor):
         self.generic_visit(node)
         self.class_stack.pop()
 
-    def _bind(self, kind: str, name: str, topic: str) -> None:
-        key = (self.class_stack[-1], kind, name)
-        known = self.bindings.get(key)
-        if known is not None and known != topic:
-            self.bindings[key] = _AMBIGUOUS
-        else:
-            self.bindings[key] = topic
-
     def visit_Assign(self, node: ast.Assign) -> None:
-        call = _probe_topic(node.value)
-        if call is not None:
-            topic = call.args[0].value
+        topic = _probe_topic(node.value)
+        aliased = _self_attr(node.value)
+        here = self.class_stack[-1]
+        if topic is not None:
             for target in node.targets:
-                if isinstance(target, ast.Attribute) \
-                        and isinstance(target.value, ast.Name) \
-                        and target.value.id == "self":
-                    self._bind("attr", target.attr, topic)
+                attr = _self_attr(target)
+                if attr is not None:
+                    _bind(self.bindings, (here, "attr", attr), topic)
                 elif isinstance(target, ast.Name):
-                    self._bind("var", target.id, topic)
-        elif isinstance(node.value, ast.Attribute) \
-                and isinstance(node.value.value, ast.Name) \
-                and node.value.value.id == "self" \
-                and len(node.targets) == 1 \
+                    _bind(self.bindings, (here, "var", target.id), topic)
+        elif aliased is not None and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
-            self.var_aliases[(self.class_stack[-1],
-                              node.targets[0].id)] = node.value.attr
+            self.var_aliases[(here, node.targets[0].id)] = aliased
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        if isinstance(node.func, ast.Attribute):
-            if node.func.attr == "probe" \
-                    and len(node.args) == 1 \
-                    and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[0].value, str):
-                self.probe_calls.append(node)
-            elif node.func.attr == "emit":
-                self.emit_calls.append((self.class_stack[-1], node))
+        if isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "emit":
+            self.emit_calls.append((self.class_stack[-1], node))
         self.generic_visit(node)
 
 
-def check(project: Project) -> List[Finding]:
-    findings = _check_telemetry(project)
-    findings.extend(_check_prometheus(project))
-    schema_source = project.get(SCHEMA_FILE)
-    if schema_source is None or schema_source.tree is None:
-        return findings  # bus.py not in this run; probe half is inert
-    schema = _parse_schema(schema_source)
-    if schema is None:
-        findings.append(Finding(
-            schema_source.path, 1, 1, RULE,
-            "could not parse the SCHEMA dict literal"))
-        return findings
-
-    emitted_topics: Set[str] = set()
-
+def _check_emit_arity(project: Project, probes: _Parsed) -> List[Finding]:
+    """Emit calls whose payload does not match the topic's fields."""
+    schema = probes.entries
     scans = []
     for source in project.iter_package(*EMITTER_SCOPE):
-        if source.tree is None or source.rel == SCHEMA_FILE:
+        if source.tree is None or source.rel == PROBES.file:
             continue
         scan = _FileScan()
         scan.visit(source.tree)
@@ -384,36 +288,20 @@ def check(project: Project) -> List[Finding]:
 
     # Project-wide attribute map: resolves emits on probe attributes
     # bound in a base class, possibly in another file.
-    global_attrs: Dict[str, object] = {}
+    global_attrs: Dict[Any, object] = {}
     for _, scan in scans:
         for (_, kind, name), topic in scan.bindings.items():
-            if kind != "attr":
-                continue
-            known = global_attrs.get(name)
-            if known is not None and known != topic:
-                global_attrs[name] = _AMBIGUOUS
-            else:
-                global_attrs[name] = topic
+            if kind == "attr":
+                _bind(global_attrs, name, topic)
 
+    findings: List[Finding] = []
     for source, scan in scans:
-        for call in scan.probe_calls:
-            topic = call.args[0].value
-            if topic in schema:
-                emitted_topics.add(topic)
-            else:
-                findings.append(Finding(
-                    source.path, call.lineno, call.col_offset + 1,
-                    RULE, f"probe topic {topic!r} is not declared in "
-                          "repro.obs.bus.SCHEMA"))
-
         for class_name, call in scan.emit_calls:
             func = call.func
-            attr: Optional[str] = None
+            assert isinstance(func, ast.Attribute)
+            attr = _self_attr(func.value)
             topic: object = None
-            if isinstance(func.value, ast.Attribute) \
-                    and isinstance(func.value.value, ast.Name) \
-                    and func.value.value.id == "self":
-                attr = func.value.attr
+            if attr is not None:
                 topic = scan.bindings.get((class_name, "attr", attr))
             elif isinstance(func.value, ast.Name):
                 var = func.value.id
@@ -427,15 +315,14 @@ def check(project: Project) -> List[Finding]:
                 continue
             if topic is None and attr is not None:
                 topic = global_attrs.get(attr)
-            if topic is None or topic is _AMBIGUOUS \
-                    or topic not in schema:
+            if not isinstance(topic, str) or topic not in schema:
                 continue
             if any(isinstance(arg, ast.Starred) for arg in call.args) \
                     or call.keywords:
                 continue  # dynamic payload; runtime validation only
-            expected = 1 + schema[topic][0]  # time + declared fields
+            fields = schema[topic][0]
+            expected = 1 + fields
             if len(call.args) != expected:
-                fields = schema[topic][0]
                 findings.append(Finding(
                     source.path, call.lineno, call.col_offset + 1,
                     RULE,
@@ -443,12 +330,26 @@ def check(project: Project) -> List[Finding]:
                     f"{len(call.args)} argument(s); SCHEMA declares "
                     f"{fields} payload field(s) (expected time + "
                     f"{fields} = {expected})"))
+    return findings
 
-    for topic, (_, lineno) in sorted(schema.items()):
-        if topic not in emitted_topics:
+
+def check(project: Project) -> List[Finding]:
+    findings: List[Finding] = []
+    rows: List[_Parsed] = []
+    for registry in REGISTRIES:
+        source = project.get(registry.file)
+        if source is None or source.tree is None:
+            continue  # registry module not part of this run; inert
+        entries = _parse_registry(source, registry)
+        if entries is None:
             findings.append(Finding(
-                schema_source.path, lineno, 1, RULE,
-                f"dead schema entry {topic!r}: no emitter under src/ "
-                "declares this probe — remove the entry or restore "
-                "the probe"))
+                source.path, 1, 1, RULE,
+                f"could not parse the {registry.variable} dict literal"))
+        else:
+            rows.append(_Parsed(registry, source, entries))
+    findings.extend(_check_calls(rows, project))
+    for row in rows:
+        findings.extend(_dead_entries(row))
+        if row.registry is PROBES:
+            findings.extend(_check_emit_arity(project, row))
     return findings
